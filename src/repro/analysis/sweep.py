@@ -8,8 +8,10 @@ worst-case guarantees); above it, random placements may or may not defeat
 the protocol -- the curve exposes how special the impossibility
 constructions are.
 
-Trial execution routes through :mod:`repro.exec`: pass an
-``executor`` (e.g. ``SweepExecutor(workers=4, cache=...)``) to
+A sharpness sweep is a run table (:func:`sharpness_table`): random
+placements, the budget ``t`` as its one factor, the trial count as its
+repetitions.  It executes through :func:`repro.exec.execute_runtable`:
+pass an ``executor`` (e.g. ``SweepExecutor(workers=4, cache=...)``) to
 parallelize and memoize; the default is the serial, uncached executor.
 Per-trial seeds are derived from ``(seed, scenario_key, trial_index)``
 (see :func:`repro.exec.derive_seed`), so the resulting
@@ -21,7 +23,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence
 
-from repro.exec import ExecStats, ScenarioSpec, SweepExecutor
+from repro.exec import (
+    ExecStats,
+    RunTable,
+    SweepExecutor,
+    execute_runtable,
+    summarize_rows,
+)
 
 
 @dataclass(frozen=True)
@@ -53,27 +61,74 @@ class SweepRun:
     stats: ExecStats
 
 
-def aggregate_point(
-    t: int,
-    trial_rows: Sequence[Dict[str, Any]],
-    safety_trivial: bool = False,
-) -> SweepPoint:
-    """Fold per-trial result rows into one :class:`SweepPoint`.
+def sharpness_table(
+    kind: str,
+    r: int,
+    budgets: Sequence[int],
+    trials: int = 5,
+    protocol: Optional[str] = None,
+    strategy: str = "fabricator",
+    engine: str = "reference",
+    metric: str = "linf",
+    topology: str = "torus",
+    channel: str = "ideal",
+) -> RunTable:
+    """The run table of one sharpness sweep: one cell per budget ``t``.
 
-    ``safety_trivial`` pins ``safety_fraction`` to 1.0 (crash faults
-    cannot lie, so safety cannot fail by construction).
+    Every cell places faults at random and runs ``trials`` trials.
+    ``protocol`` defaults to ``bv-two-hop`` for Byzantine sweeps and
+    ``crash-flood`` for crash sweeps; ``strategy`` only matters for
+    Byzantine ones.  ``engine`` picks the simulation backend; it does
+    not change seeds, rows, or cache keys (the backends are
+    observationally identical).  ``metric``, ``topology``, and
+    ``channel`` select the orthogonal scenario-axis levels (all paper
+    defaults) and *are* scenario identity -- different levels sweep
+    different scenario keys.  Budgets must be distinct.
     """
-    trials = len(trial_rows)
-    successes = sum(1 for row in trial_rows if row["achieved"])
-    safeties = sum(1 for row in trial_rows if row["safe"])
-    undecided_total = sum(row["undecided"] for row in trial_rows)
-    return SweepPoint(
-        t=t,
-        trials=trials,
-        success_fraction=successes / trials,
-        safety_fraction=1.0 if safety_trivial else safeties / trials,
-        mean_undecided=undecided_total / trials,
+    base = {
+        "kind": kind,
+        "r": r,
+        "protocol": protocol
+        or ("bv-two-hop" if kind == "byzantine" else "crash-flood"),
+        "strategy": strategy,
+        "placement": "random",
+        "metric": metric,
+        "engine": engine,
+        "topology": topology,
+        "channel": channel,
+    }
+    return RunTable(
+        factors=(("t", tuple(budgets)),),
+        base=tuple(base.items()),
+        repetitions=trials,
+        name=f"{kind}-sharpness",
     )
+
+
+def sharpness_run(
+    table: RunTable, seed: int = 0, executor: Optional[SweepExecutor] = None
+) -> SweepRun:
+    """Execute a :func:`sharpness_table`; one :class:`SweepPoint` per cell.
+
+    Crash faults cannot lie, so a crash sweep's ``safety_fraction`` is
+    1.0 by construction.
+    """
+    result = execute_runtable(table, executor=executor, root_seed=seed)
+    points = []
+    for unit, rows in zip(result.units, result.rows):
+        summary = summarize_rows(rows)
+        points.append(
+            SweepPoint(
+                t=unit.spec.t,
+                trials=summary["trials"],
+                success_fraction=summary["achieved_fraction"],
+                safety_fraction=1.0
+                if unit.spec.kind == "crash"
+                else summary["safe_fraction"],
+                mean_undecided=summary["mean_undecided"],
+            )
+        )
+    return SweepRun(points=points, stats=result.stats)
 
 
 def byzantine_sharpness_run(
@@ -94,65 +149,22 @@ def byzantine_sharpness_run(
     For each ``t`` the protocol is *told* ``t`` and the adversary places a
     random maximal ``t``-bounded fault set; both sides scale together,
     exactly as in the paper's model.  Returns the aggregated points plus
-    the executor's wall-clock / cache statistics.  ``engine`` picks the
-    simulation backend; it does not change seeds, rows, or cache keys
-    (the backends are observationally identical).  ``metric``,
-    ``topology``, and ``channel`` select the orthogonal scenario-axis
-    levels (all paper defaults) and *are* scenario identity -- different
-    levels sweep different scenario keys.
+    the executor's wall-clock / cache statistics.  See
+    :func:`sharpness_table` for the parameters.
     """
-    executor = executor or SweepExecutor()
-    specs = [
-        ScenarioSpec(
-            kind="byzantine",
-            r=r,
-            t=t,
-            trials=trials,
-            protocol=protocol,
-            strategy=strategy,
-            placement="random",
-            metric=metric,
-            engine=engine,
-            topology=topology,
-            channel=channel,
-        )
-        for t in budgets
-    ]
-    result = executor.run(specs, root_seed=seed)
-    points = [
-        aggregate_point(t, rows)
-        for t, rows in zip(budgets, result.rows)
-    ]
-    return SweepRun(points=points, stats=result.stats)
+    table = sharpness_table(
+        "byzantine", r, budgets, trials=trials, protocol=protocol,
+        strategy=strategy, engine=engine, metric=metric,
+        topology=topology, channel=channel,
+    )
+    return sharpness_run(table, seed=seed, executor=executor)
 
 
 def byzantine_sharpness_sweep(
-    r: int,
-    budgets: Sequence[int],
-    protocol: str = "bv-two-hop",
-    strategy: str = "fabricator",
-    trials: int = 5,
-    seed: int = 0,
-    executor: Optional[SweepExecutor] = None,
-    engine: str = "reference",
-    metric: str = "linf",
-    topology: str = "torus",
-    channel: str = "ideal",
+    r: int, budgets: Sequence[int], **kwargs: Any
 ) -> List[SweepPoint]:
     """:func:`byzantine_sharpness_run` returning only the points."""
-    return byzantine_sharpness_run(
-        r,
-        budgets,
-        protocol=protocol,
-        strategy=strategy,
-        trials=trials,
-        seed=seed,
-        executor=executor,
-        engine=engine,
-        metric=metric,
-        topology=topology,
-        channel=channel,
-    ).points
+    return byzantine_sharpness_run(r, budgets, **kwargs).points
 
 
 def crash_sharpness_run(
@@ -167,43 +179,15 @@ def crash_sharpness_run(
     channel: str = "ideal",
 ) -> SweepRun:
     """Crash-stop analogue of :func:`byzantine_sharpness_run`."""
-    executor = executor or SweepExecutor()
-    specs = [
-        ScenarioSpec(
-            kind="crash",
-            r=r,
-            t=t,
-            trials=trials,
-            protocol="crash-flood",
-            placement="random",
-            metric=metric,
-            engine=engine,
-            topology=topology,
-            channel=channel,
-        )
-        for t in budgets
-    ]
-    result = executor.run(specs, root_seed=seed)
-    points = [
-        aggregate_point(t, rows, safety_trivial=True)
-        for t, rows in zip(budgets, result.rows)
-    ]
-    return SweepRun(points=points, stats=result.stats)
+    table = sharpness_table(
+        "crash", r, budgets, trials=trials, engine=engine, metric=metric,
+        topology=topology, channel=channel,
+    )
+    return sharpness_run(table, seed=seed, executor=executor)
 
 
 def crash_sharpness_sweep(
-    r: int,
-    budgets: Sequence[int],
-    trials: int = 5,
-    seed: int = 0,
-    executor: Optional[SweepExecutor] = None,
-    engine: str = "reference",
-    metric: str = "linf",
-    topology: str = "torus",
-    channel: str = "ideal",
+    r: int, budgets: Sequence[int], **kwargs: Any
 ) -> List[SweepPoint]:
     """:func:`crash_sharpness_run` returning only the points."""
-    return crash_sharpness_run(
-        r, budgets, trials=trials, seed=seed, executor=executor,
-        engine=engine, metric=metric, topology=topology, channel=channel,
-    ).points
+    return crash_sharpness_run(r, budgets, **kwargs).points

@@ -93,35 +93,18 @@ def _cmd_demo(args: argparse.Namespace) -> int:
     return 0 if outcome.safe else 1
 
 
-def _cli_backend(args: argparse.Namespace):
-    """Resolve the --backend/--worker flags into a SweepExecutor
-    ``backend`` argument (``None`` keeps the workers-derived default).
-
-    Raises :class:`~repro.errors.ConfigurationError` on a bad
-    combination (e.g. ``--backend socket`` with no ``--worker``).
-    """
-    if not getattr(args, "backend", None):
-        return None
-    from repro.exec import make_backend
-
-    return make_backend(
-        args.backend,
-        workers=args.workers,
-        worker_addrs=getattr(args, "worker", None),
-    )
-
-
 def _cmd_sweep(args: argparse.Namespace) -> int:
     import json
     import pathlib
 
-    from repro.analysis.sweep import byzantine_sharpness_run, crash_sharpness_run
+    from repro.analysis.sweep import sharpness_run, sharpness_table
     from repro.core.thresholds import (
         byzantine_linf_max_t,
         crash_linf_max_t,
         koo_impossibility_bound,
         crash_linf_threshold,
     )
+    from repro.errors import ConfigurationError
     from repro.exec import ResultCache, SweepExecutor, default_cache_dir
 
     if args.resume and args.no_cache:
@@ -130,46 +113,13 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    if args.engine == "fastpath" and args.kind == "byzantine":
-        from repro.radio.engines import (
-            FASTPATH_BYZANTINE_PROTOCOLS,
-            FASTPATH_FIXED_STRATEGIES,
-        )
-
-        byz_protocol = args.protocol or "bv-two-hop"
-        if byz_protocol not in FASTPATH_BYZANTINE_PROTOCOLS:
-            print(
-                f"repro sweep: protocol {byz_protocol!r} has no "
-                "Byzantine-capable fastpath kernel (supported: "
-                f"{FASTPATH_BYZANTINE_PROTOCOLS}); drop --engine fastpath",
-                file=sys.stderr,
-            )
-            return 2
-        if args.strategy not in FASTPATH_FIXED_STRATEGIES:
-            print(
-                f"repro sweep: Byzantine strategy {args.strategy!r} runs "
-                "arbitrary node code (no fixed-strategy kernel; "
-                f"supported: {FASTPATH_FIXED_STRATEGIES}); drop "
-                "--engine fastpath",
-                file=sys.stderr,
-            )
-            return 2
     cache = None
     if not args.no_cache:
         cache_dir = (
             pathlib.Path(args.cache_dir) if args.cache_dir else default_cache_dir()
         )
         cache = ResultCache(cache_dir)
-    from repro.errors import ConfigurationError
-
-    try:
-        backend = _cli_backend(args)
-    except ConfigurationError as exc:
-        print(f"repro sweep: {exc}", file=sys.stderr)
-        return 2
-    executor = SweepExecutor(
-        workers=args.workers, cache=cache, backend=backend
-    )
+    executor = SweepExecutor(workers=args.workers, cache=cache)
 
     if args.budgets:
         budgets = list(args.budgets)
@@ -177,64 +127,33 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         budgets = list(range(0, koo_impossibility_bound(args.r) + 2))
     else:
         budgets = list(range(0, crash_linf_threshold(args.r) + 2))
-
-    if args.resume:
-        from repro.exec import ScenarioSpec
-
-        specs = [
-            ScenarioSpec(
-                kind=args.kind,
-                r=args.r,
-                t=t,
-                trials=args.trials,
-                protocol=args.protocol
-                or ("bv-two-hop" if args.kind == "byzantine" else "crash-flood"),
-                strategy=args.strategy if args.kind == "byzantine" else None,
-                placement="random",
-                metric=args.metric,
-                engine=args.engine,
-                topology=args.topology,
-                channel=args.channel,
-            )
-            for t in budgets
-        ]
-        done, total = executor.checkpointed(specs, root_seed=args.seed)
-        print(f"resume: {done}/{total} work units already checkpointed")
-
     protocol = args.protocol or (
         "bv-two-hop" if args.kind == "byzantine" else "crash-flood"
     )
-    from repro.errors import ConfigurationError
+    threshold = (
+        byzantine_linf_max_t(args.r)
+        if args.kind == "byzantine"
+        else crash_linf_max_t(args.r)
+    )
 
     try:
-        if args.kind == "byzantine":
-            run = byzantine_sharpness_run(
-                args.r,
-                budgets,
-                protocol=protocol,
-                strategy=args.strategy,
-                trials=args.trials,
-                seed=args.seed,
-                executor=executor,
-                engine=args.engine,
-                metric=args.metric,
-                topology=args.topology,
-                channel=args.channel,
-            )
-            threshold = byzantine_linf_max_t(args.r)
-        else:
-            run = crash_sharpness_run(
-                args.r,
-                budgets,
-                trials=args.trials,
-                seed=args.seed,
-                executor=executor,
-                engine=args.engine,
-                metric=args.metric,
-                topology=args.topology,
-                channel=args.channel,
-            )
-            threshold = crash_linf_max_t(args.r)
+        table = sharpness_table(
+            args.kind,
+            args.r,
+            budgets,
+            trials=args.trials,
+            protocol=protocol,
+            strategy=args.strategy,
+            engine=args.engine,
+            metric=args.metric,
+            topology=args.topology,
+            channel=args.channel,
+        )
+        if args.resume:
+            specs = [unit.spec for unit in table.expand()]
+            done, total = executor.checkpointed(specs, root_seed=args.seed)
+            print(f"resume: {done}/{total} work units already checkpointed")
+        run = sharpness_run(table, seed=args.seed, executor=executor)
     except ConfigurationError as exc:
         print(f"repro sweep: {exc}", file=sys.stderr)
         return 2
@@ -325,10 +244,7 @@ def _cmd_runtable(args: argparse.Namespace) -> int:
         )
         cache = ResultCache(cache_dir)
     try:
-        backend = _cli_backend(args)
-        executor = SweepExecutor(
-            workers=args.workers, cache=cache, backend=backend
-        )
+        executor = SweepExecutor(workers=args.workers, cache=cache)
         result = execute_runtable(table, executor=executor, root_seed=args.seed)
     except ConfigurationError as exc:
         print(f"repro runtable: {exc}", file=sys.stderr)
@@ -530,61 +446,6 @@ def _cmd_adversary(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_serve(args: argparse.Namespace) -> int:
-    import pathlib
-
-    from repro.exec import ResultCache, default_cache_dir
-    from repro.serve import CampaignService, make_server
-
-    cache = None
-    if not args.no_cache:
-        cache_dir = (
-            pathlib.Path(args.cache_dir) if args.cache_dir else default_cache_dir()
-        )
-        cache = ResultCache(cache_dir)
-    service = CampaignService(
-        cache=cache,
-        backend=args.backend,
-        workers=args.workers,
-        worker_addrs=args.worker,
-    )
-    # bind first so the banner carries the real port (matters for --port 0)
-    server = make_server(service, host=args.host, port=args.port, quiet=args.quiet)
-    host, port = server.server_address[:2]
-    print(
-        f"repro serve: listening on http://{host}:{port} "
-        f"(backend={args.backend}, cache={'off' if cache is None else cache.root})",
-        flush=True,
-    )
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:
-        pass
-    finally:
-        server.server_close()
-    return 0
-
-
-def _cmd_worker(args: argparse.Namespace) -> int:
-    from repro.exec import WorkerServer
-
-    worker = WorkerServer(
-        host=args.host, port=args.port, max_units=args.max_units
-    )
-    address = worker.start()
-    print(
-        f"repro worker: listening on {address[0]}:{address[1]}", flush=True
-    )
-    try:
-        while not worker.join(timeout=1.0):
-            pass
-    except KeyboardInterrupt:  # pragma: no cover - interactive stop
-        pass
-    finally:
-        worker.stop()
-    return 0
-
-
 def _cmd_lint(args: argparse.Namespace) -> int:
     import pathlib
 
@@ -736,18 +597,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers", type=int, default=1, help="worker processes"
     )
     p_sweep.add_argument(
-        "--backend",
-        choices=["serial", "pool", "socket"],
-        help="execution backend (default: serial for --workers 1, else "
-        "pool; socket needs --worker, see docs/SERVICE.md)",
-    )
-    p_sweep.add_argument(
-        "--worker",
-        action="append",
-        metavar="HOST:PORT",
-        help="socket-backend worker address (repeatable)",
-    )
-    p_sweep.add_argument(
         "--no-cache",
         action="store_true",
         help="bypass the work-unit cache entirely (no reads, no writes)",
@@ -813,18 +662,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_rt.add_argument("--seed", type=int, default=0, help="root seed")
     p_rt.add_argument(
         "--workers", type=int, default=1, help="worker processes"
-    )
-    p_rt.add_argument(
-        "--backend",
-        choices=["serial", "pool", "socket"],
-        help="execution backend (default: serial for --workers 1, else "
-        "pool; socket needs --worker, see docs/SERVICE.md)",
-    )
-    p_rt.add_argument(
-        "--worker",
-        action="append",
-        metavar="HOST:PORT",
-        help="socket-backend worker address (repeatable)",
     )
     p_rt.add_argument(
         "--no-cache",
@@ -966,68 +803,6 @@ def build_parser() -> argparse.ArgumentParser:
         "a cpa + fixed-strategy search",
     )
     p_adv.set_defaults(func=_cmd_adversary)
-
-    p_serve = sub.add_parser(
-        "serve",
-        help="run the long-lived sweep campaign service",
-        description="Start an HTTP campaign service (stdlib http.server, "
-        "see docs/SERVICE.md): POST /sweeps submits and executes a sweep "
-        "against the shared content-addressed result store, GET /metrics "
-        "exposes Prometheus text metrics. Identical submissions return "
-        "byte-identical rows, the second entirely from cache.",
-    )
-    p_serve.add_argument("--host", default="127.0.0.1", help="bind address")
-    p_serve.add_argument(
-        "--port", type=int, default=8321, help="bind port (0: ephemeral)"
-    )
-    p_serve.add_argument(
-        "--backend",
-        choices=["serial", "pool", "socket"],
-        default="serial",
-        help="default execution backend for submissions",
-    )
-    p_serve.add_argument(
-        "--workers", type=int, default=1, help="pool-backend workers"
-    )
-    p_serve.add_argument(
-        "--worker",
-        action="append",
-        metavar="HOST:PORT",
-        help="socket-backend worker address (repeatable)",
-    )
-    p_serve.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="serve without the shared result store (recompute always)",
-    )
-    p_serve.add_argument(
-        "--cache-dir",
-        help="cache root (default: $REPRO_CACHE_DIR or "
-        "benchmarks/results/cache)",
-    )
-    p_serve.add_argument(
-        "--quiet", action="store_true", help="suppress the access log"
-    )
-    p_serve.set_defaults(func=_cmd_serve)
-
-    p_worker = sub.add_parser(
-        "worker",
-        help="run one socket-backend execution worker",
-        description="Start a long-lived work-unit executor for the socket "
-        "backend (see docs/SERVICE.md): it handshakes repro version + "
-        "cache-key schema with each coordinator, then executes shipped "
-        "work units until stopped.",
-    )
-    p_worker.add_argument("--host", default="127.0.0.1", help="bind address")
-    p_worker.add_argument(
-        "--port", type=int, default=0, help="bind port (0: ephemeral)"
-    )
-    p_worker.add_argument(
-        "--max-units",
-        type=int,
-        help="exit abruptly after N units (failure-injection testing)",
-    )
-    p_worker.set_defaults(func=_cmd_worker)
 
     p_lint = sub.add_parser(
         "lint",

@@ -12,29 +12,24 @@ the simulator's reproducibility contract:
 - :mod:`repro.exec.cache` -- sharded, content-addressed on-disk
   memoization of completed work units (also the checkpoint/resume
   mechanism);
-- :mod:`repro.exec.backends` -- pluggable execution backends behind one
-  protocol: in-process ``serial``, one-box ``pool``, multi-host
-  ``socket``;
-- :mod:`repro.exec.campaign` -- the backend-agnostic campaign manager
-  (cache-before-submit, checkpoint-on-complete, ordered finalization);
-- :mod:`repro.exec.executor` -- the stable :class:`SweepExecutor` facade
-  over all of the above, plus execution statistics.
+- :mod:`repro.exec.campaign` -- work-unit planning: trial ranges
+  chunked into content-addressed units;
+- :mod:`repro.exec.backends` -- the execution backends behind one
+  protocol: in-process ``serial`` and one-box ``pool``;
+- :mod:`repro.exec.executor` -- :class:`SweepExecutor`, which plans,
+  probes the cache, computes the misses on a backend, banks each
+  completion, and assembles rows in plan order, plus execution
+  statistics.
 
-See ``docs/EXECUTION.md`` for the design and the CLI (``repro sweep``),
-and ``docs/SERVICE.md`` for the long-running campaign service built on
-this layer (``repro serve``).
+See ``docs/EXECUTION.md`` for the design and the CLI (``repro sweep``,
+``repro runtable``).
 """
 
 from repro.exec.backends import (
-    BACKEND_NAMES,
     BackendError,
     ExecutionBackend,
     PoolBackend,
     SerialBackend,
-    SocketBackend,
-    WorkerClient,
-    WorkerServer,
-    make_backend,
 )
 from repro.exec.cache import (
     CACHE_SCHEMA_VERSION,
@@ -44,14 +39,13 @@ from repro.exec.cache import (
     content_key,
     default_cache_dir,
 )
-from repro.exec.campaign import CampaignRunner, UnitState, plan_units
-from repro.exec.executor import (
+from repro.exec.campaign import (
     DEFAULT_CHUNK_SIZE,
-    ExecStats,
-    SweepExecutor,
-    SweepRunResult,
+    UnitState,
+    plan_units,
     unit_cache_key,
 )
+from repro.exec.executor import ExecStats, SweepExecutor, SweepRunResult
 from repro.exec.runtable import (
     FACTOR_FIELDS,
     RUNTABLE_SCHEMA,
@@ -60,15 +54,14 @@ from repro.exec.runtable import (
     RunUnit,
     execute_runtable,
     load_runtable,
+    summarize_rows,
 )
 from repro.exec.seeds import SEED_BITS, derive_seed
 from repro.exec.specs import KINDS, ScenarioSpec, build_scenario, run_trial
 
 __all__ = [
-    "BACKEND_NAMES",
     "BackendError",
     "CACHE_SCHEMA_VERSION",
-    "CampaignRunner",
     "DEFAULT_CACHE_DIR",
     "DEFAULT_CHUNK_SIZE",
     "ExecStats",
@@ -84,12 +77,9 @@ __all__ = [
     "SEED_BITS",
     "ScenarioSpec",
     "SerialBackend",
-    "SocketBackend",
     "SweepExecutor",
     "SweepRunResult",
     "UnitState",
-    "WorkerClient",
-    "WorkerServer",
     "build_scenario",
     "code_version_tag",
     "content_key",
@@ -97,8 +87,8 @@ __all__ = [
     "derive_seed",
     "execute_runtable",
     "load_runtable",
-    "make_backend",
     "plan_units",
     "run_trial",
+    "summarize_rows",
     "unit_cache_key",
 ]

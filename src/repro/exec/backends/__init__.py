@@ -1,28 +1,23 @@
-"""Pluggable execution backends for the sweep tier.
+"""Execution backends for the sweep executor.
 
-Three implementations of one tiny protocol
+Two implementations of one tiny protocol
 (:class:`~repro.exec.backends.base.ExecutionBackend`):
 
-========  ==================================================  ===========
+========  ==================================================  ======
 name      runs units                                          scale
-========  ==================================================  ===========
+========  ==================================================  ======
 serial    in the calling process, in order                    1 core
 pool      across a ``multiprocessing`` pool (fork)            1 box
-socket    on long-lived workers reached over TCP              many boxes
-========  ==================================================  ===========
+========  ==================================================  ======
 
-Pick one by name through :func:`make_backend` (what the ``--backend``
-CLI flag resolves through), or construct the class directly.  All three
-compute byte-identical rows for the same plan -- the campaign manager
-(:mod:`repro.exec.campaign`) owns ordering and caching, so switching
+:class:`~repro.exec.executor.SweepExecutor` picks serial for
+``workers=1`` and pool otherwise.  Both compute byte-identical rows for
+the same plan -- the executor owns ordering and caching, so switching
 backends mid-study is invisible in the output.
 """
 
 from __future__ import annotations
 
-from typing import Any, Optional, Sequence
-
-from repro.errors import ConfigurationError
 from repro.exec.backends.base import (
     BackendError,
     ExecutionBackend,
@@ -31,55 +26,12 @@ from repro.exec.backends.base import (
 )
 from repro.exec.backends.pool import PoolBackend
 from repro.exec.backends.serial import SerialBackend
-from repro.exec.backends.socket import (
-    SocketBackend,
-    WorkerClient,
-    WorkerServer,
-)
-
-#: Registry of backend names accepted by ``--backend``.
-BACKEND_NAMES = ("serial", "pool", "socket")
-
-
-def make_backend(
-    name: str,
-    workers: int = 1,
-    worker_addrs: Optional[Sequence[Any]] = None,
-) -> ExecutionBackend:
-    """Build an execution backend by registry name.
-
-    ``workers`` sizes the pool backend (ignored by serial);
-    ``worker_addrs`` (``host:port`` strings) is required by -- and only
-    meaningful for -- the socket backend.  Unknown names raise
-    :class:`~repro.errors.ConfigurationError` listing the registry.
-    """
-    if name == "serial":
-        return SerialBackend()
-    if name == "pool":
-        return PoolBackend(workers=max(1, workers))
-    if name == "socket":
-        if not worker_addrs:
-            raise ConfigurationError(
-                "socket backend requires worker addresses "
-                "(--worker host:port, repeatable)"
-            )
-        return SocketBackend(worker_addrs)
-    raise ConfigurationError(
-        f"unknown backend {name!r}; expected one of "
-        + ", ".join(BACKEND_NAMES)
-    )
-
 
 __all__ = [
-    "BACKEND_NAMES",
     "BackendError",
     "ExecutionBackend",
     "PoolBackend",
     "SerialBackend",
-    "SocketBackend",
     "UnitFunction",
     "UnitPayload",
-    "WorkerClient",
-    "WorkerServer",
-    "make_backend",
 ]

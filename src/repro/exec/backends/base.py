@@ -1,31 +1,26 @@
-"""The :class:`ExecutionBackend` protocol -- the seam the sweep tier
-scales through.
+"""The :class:`ExecutionBackend` protocol -- the seam the sweep executor
+computes through.
 
 A backend executes *work units*: ``(spec_dict, root_seed, indices)``
 payloads handed to a module-level worker function (today always
 :func:`repro.exec.executor._run_unit`).  The contract is deliberately
-tiny so backends can range from "call the function in a loop" to "ship
-pickles to long-lived workers on other hosts":
+tiny:
 
 - :meth:`ExecutionBackend.run_units` receives the worker function and
   the payload list and *yields* ``(payload_index, rows)`` pairs as units
   complete, in **any order** -- ordering for byte-reproducible output is
-  the campaign manager's job (:mod:`repro.exec.campaign`), not the
-  backend's;
+  the executor's job (:class:`repro.exec.executor.SweepExecutor`), not
+  the backend's;
 - the worker function must be a picklable module-level callable with no
   shared-state dependencies -- enforced statically by the ``fork-safety``
   lint pass, which treats every ``run_units`` call site as a submission
-  boundary (:mod:`repro.lint.analysis.forksafety`);
-- a backend raises :class:`BackendError` when it can no longer make
-  progress (every worker lost, handshake rejected); transient worker
-  death is the backend's problem to hide (requeue), not the caller's.
+  boundary (:mod:`repro.lint.analysis.forksafety`).
 
 Determinism contract: because every unit's rows are a pure function of
 its payload (seeds are derived, never drawn), *which* backend runs a
-unit -- and on which host, after how many requeues -- cannot change the
-rows.  The campaign layer therefore shares one content-addressed cache
-across all backends, and identical sweeps rerun at 100% hits on any of
-them (pinned by ``tests/test_exec_campaign.py``).
+unit cannot change the rows.  The executor therefore shares one
+content-addressed cache across backends, and identical sweeps rerun at
+100% hits on either of them (pinned by ``tests/test_exec_campaign.py``).
 """
 
 from __future__ import annotations
@@ -34,9 +29,9 @@ from typing import Any, Callable, Dict, Iterator, List, Tuple
 
 from repro.errors import ReproError
 
-#: One work unit as shipped across a process/host boundary:
+#: One work unit as shipped across a process boundary:
 #: ``(spec.as_dict(), root_seed, trial_indices)`` -- plain data,
-#: picklable under every start method and every wire.
+#: picklable under every start method.
 UnitPayload = Tuple[Dict[str, Any], int, Tuple[int, ...]]
 
 #: The worker-function shape every backend executes.
@@ -44,26 +39,23 @@ UnitFunction = Callable[[UnitPayload], List[Dict[str, Any]]]
 
 
 class BackendError(ReproError):
-    """An execution backend can no longer make progress.
+    """An execution backend broke its contract.
 
-    Raised when a backend is down to zero usable workers (all
-    handshakes rejected, every connection dead) with units still
-    outstanding, or when a worker reports that the unit function itself
-    raised.  Unit results already completed remain valid (and cached);
-    the campaign fails only for what could not be computed.
+    Raised by the executor when a backend finishes without yielding
+    every unit it was given.  Units already completed remain valid (and
+    cached); the sweep fails only for what was not computed.
     """
 
 
 class ExecutionBackend:
     """Base class for execution backends (see the module docstring).
 
-    Subclasses implement :meth:`run_units`; ``name`` is the registry
-    key (``serial`` / ``pool`` / ``socket``) and ``workers`` the
-    parallelism the backend reports into :class:`~repro.exec.executor.
-    ExecStats`.
+    Subclasses implement :meth:`run_units`; ``name`` identifies the
+    backend in error messages and ``workers`` is the parallelism it
+    reports into :class:`~repro.exec.executor.ExecStats`.
     """
 
-    #: registry name, also the ``--backend`` CLI level
+    #: backend name, used in error messages
     name: str = "base"
     #: parallelism reported into execution stats
     workers: int = 1
@@ -72,34 +64,5 @@ class ExecutionBackend:
         self, fn: UnitFunction, payloads: List[UnitPayload]
     ) -> Iterator[Tuple[int, List[Dict[str, Any]]]]:
         """Execute ``fn`` over every payload; yield ``(index, rows)``
-        pairs as units complete (any order, exactly one per payload).
-
-        Implementations must either yield every index exactly once or
-        raise :class:`BackendError`.
-        """
+        pairs as units complete (any order, exactly one per payload)."""
         raise NotImplementedError
-
-    def status(self) -> Dict[str, Any]:
-        """Live-state snapshot for observability (Prometheus export).
-
-        Keys: ``backend`` (name), ``queue_depth`` (units accepted but
-        not yet completed), ``workers_total`` / ``workers_live``.
-        Thread-safe to call while :meth:`run_units` is draining.
-        """
-        return {
-            "backend": self.name,
-            "queue_depth": 0,
-            "workers_total": self.workers,
-            "workers_live": self.workers,
-        }
-
-    def close(self) -> None:
-        """Release backend resources (sockets, pools); idempotent."""
-
-    def __enter__(self) -> "ExecutionBackend":
-        """Context-manager entry: the backend itself."""
-        return self
-
-    def __exit__(self, *exc: Any) -> None:
-        """Context-manager exit: :meth:`close`."""
-        self.close()

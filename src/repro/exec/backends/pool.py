@@ -1,13 +1,12 @@
-"""The multiprocessing pool backend: today's one-box parallelism,
-refactored behind the :class:`~repro.exec.backends.base.ExecutionBackend`
-protocol.
+"""The multiprocessing pool backend: one-box parallelism behind the
+:class:`~repro.exec.backends.base.ExecutionBackend` protocol.
 
 Work units fan out over a ``multiprocessing`` pool (``fork`` start
 method where available -- cheap, inherits ``sys.path``) and stream back
 as they finish via ``imap_unordered``; completion order is
-nondeterministic, which is fine because ordering is the campaign
-manager's job.  A submission of zero or one pending units short-circuits
-to in-process execution so small sweeps never pay pool startup.
+nondeterministic, which is fine because ordering is the executor's job.
+A submission of zero or one pending units short-circuits to in-process
+execution so small sweeps never pay pool startup.
 """
 
 from __future__ import annotations
@@ -49,7 +48,6 @@ class PoolBackend(ExecutionBackend):
         if workers < 1:
             raise ConfigurationError(f"workers must be >= 1, got {workers}")
         self.workers = workers
-        self._queue_depth = 0
 
     def run_units(
         self, fn: UnitFunction, payloads: List[UnitPayload]
@@ -57,33 +55,14 @@ class PoolBackend(ExecutionBackend):
         """Yield ``(index, rows)`` as the pool completes units.
 
         Completion order is whatever the pool produces; a rerun may
-        yield a different order with identical rows (the campaign layer
+        yield a different order with identical rows (the executor
         re-serializes).  Zero/one pending units run in-process.
         """
-        self._queue_depth = len(payloads)
-        try:
-            if len(payloads) <= 1 or self.workers == 1:
-                for index, payload in enumerate(payloads):
-                    rows = fn(payload)
-                    self._queue_depth -= 1
-                    yield index, rows
-                return
-            tasks = [(fn, i, p) for i, p in enumerate(payloads)]
-            ctx = _pool_context()
-            with ctx.Pool(
-                processes=min(self.workers, len(payloads))
-            ) as pool:
-                for index, rows in pool.imap_unordered(_call_indexed, tasks):
-                    self._queue_depth -= 1
-                    yield index, rows
-        finally:
-            self._queue_depth = 0
-
-    def status(self) -> Dict[str, Any]:
-        """Queue depth while draining; pool workers counted as live."""
-        return {
-            "backend": self.name,
-            "queue_depth": self._queue_depth,
-            "workers_total": self.workers,
-            "workers_live": self.workers,
-        }
+        if len(payloads) <= 1 or self.workers == 1:
+            for index, payload in enumerate(payloads):
+                yield index, fn(payload)
+            return
+        tasks = [(fn, i, p) for i, p in enumerate(payloads)]
+        ctx = _pool_context()
+        with ctx.Pool(processes=min(self.workers, len(payloads))) as pool:
+            yield from pool.imap_unordered(_call_indexed, tasks)

@@ -1,10 +1,9 @@
-"""The in-process serial backend: no pool, no pickling, no sockets.
+"""The in-process serial backend: no pool, no pickling.
 
 The reference implementation of the :class:`~repro.exec.backends.base.
-ExecutionBackend` contract and the fallback wherever parallelism is
-unavailable or pointless (a single pending unit).  Also the arbiter in
-differential arguments: every other backend must reproduce exactly the
-rows this one computes.
+ExecutionBackend` contract and the default for ``workers=1``.  Also the
+arbiter in differential arguments: the pool backend must reproduce
+exactly the rows this one computes.
 """
 
 from __future__ import annotations
@@ -20,27 +19,9 @@ class SerialBackend(ExecutionBackend):
     name = "serial"
     workers = 1
 
-    def __init__(self) -> None:
-        self._queue_depth = 0
-
     def run_units(
         self, fn: UnitFunction, payloads: List[UnitPayload]
     ) -> Iterator[Tuple[int, List[Dict[str, Any]]]]:
         """Yield ``(index, fn(payload))`` in order, one at a time."""
-        self._queue_depth = len(payloads)
-        try:
-            for index, payload in enumerate(payloads):
-                rows = fn(payload)
-                self._queue_depth -= 1
-                yield index, rows
-        finally:
-            self._queue_depth = 0
-
-    def status(self) -> Dict[str, Any]:
-        """Queue depth while draining; one worker, always live."""
-        return {
-            "backend": self.name,
-            "queue_depth": self._queue_depth,
-            "workers_total": 1,
-            "workers_live": 1,
-        }
+        for index, payload in enumerate(payloads):
+            yield index, fn(payload)

@@ -79,9 +79,6 @@ def code_version_tag() -> str:
 
     Ties cached results to the package version *and* the executor's
     schema version, so either kind of upgrade invalidates the cache.
-    The same tag is exchanged in the socket-backend handshake
-    (:mod:`repro.exec.backends.socket`), so a worker running a
-    different build refuses work instead of poisoning the store.
     """
     return f"repro-{__version__}/exec-{CACHE_SCHEMA_VERSION}"
 

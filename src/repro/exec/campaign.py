@@ -1,53 +1,62 @@
-"""The campaign manager: backend-agnostic sweep orchestration.
+"""Work-unit planning: how a sweep is cut into content-addressed units.
 
-:class:`CampaignRunner` sits between the planning/caching layer and a
-pluggable :class:`~repro.exec.backends.base.ExecutionBackend`.  The
-division of labor:
+A sweep is a list of :class:`~repro.exec.specs.ScenarioSpec`; planning
+chunks every spec's trial range into *work units* and gives each unit
+its cache key.  Chunking is identical for every backend and worker
+count, because the key embeds the unit's trial indices: a unit chunked
+differently would never be found in the cache again.
 
-- **planning** (:func:`plan_units`) chunks every spec's trial range into
-  content-addressed work units, identically for every backend and worker
-  count (cache keys embed trial indices, so chunking is part of unit
-  identity);
-- **the backend** computes pending units and reports completions in
-  whatever order it likes;
-- **the campaign manager** owns everything order-sensitive: cache
-  lookups before submission, cache writes the moment a unit completes
-  (checkpointing -- an interrupted campaign resumes from its last
-  completed unit), and *ordered finalization* -- completed units are
-  released strictly in plan order so every consumer, streaming or batch,
-  sees byte-identical output no matter which backend ran the sweep or
-  how completion interleaved.
-
-Progress counters (``units_total`` / ``units_completed`` /
-``units_cached`` / ``units_failed``) are cumulative across runs and
-thread-safe to read mid-run -- the ``repro serve`` metrics endpoint
-polls them from another thread.
+:class:`~repro.exec.executor.SweepExecutor` runs the plan: it probes the
+cache for each unit, computes the misses, banks each completion, and
+assembles rows in plan order.
 """
 
 from __future__ import annotations
 
-import threading
-import time
 from dataclasses import dataclass
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.exec.backends.base import BackendError, ExecutionBackend
-from repro.exec.cache import ResultCache
-from repro.exec.executor import (
-    DEFAULT_CHUNK_SIZE,
-    ExecStats,
-    SweepRunResult,
-    _run_unit,
-    unit_cache_key,
-)
+from repro.exec.cache import code_version_tag, content_key
 from repro.exec.specs import ScenarioSpec
+
+#: Trials per work unit.  Independent of the worker count on purpose:
+#: cache keys embed the unit's trial indices, so chunking must not change
+#: when ``--workers`` does or cached units would never be rediscovered.
+DEFAULT_CHUNK_SIZE = 4
+
+
+def unit_cache_key(
+    spec: ScenarioSpec, root_seed: int, indices: Sequence[int]
+) -> str:
+    """The content hash identifying one work unit on disk.
+
+    Covers the scenario parameters, the root seed, the exact trial
+    indices, and the code-version tag -- any change to any of them is a
+    different key, i.e. a cache miss.  ``collect_metrics`` is excluded
+    from the scenario identity (it does not change the simulation) but
+    changes the cached row *shape*, so it joins the key when set --
+    conditionally, to keep every pre-existing metrics-free cache entry
+    valid.  ``spec.engine`` never joins the key: the backends are
+    observationally identical (tests/test_fastpath_differential.py), so
+    cache rows are shared across engines -- a sweep computed on
+    ``reference`` is a 100% cache hit when rerun with ``fastpath``.
+    """
+    payload = {
+        "scenario": spec.key_payload(),
+        "root_seed": int(root_seed),
+        "indices": [int(i) for i in indices],
+        "code_version": code_version_tag(),
+    }
+    if spec.collect_metrics:
+        payload["collect_metrics"] = True
+    return content_key(payload)
 
 
 @dataclass
 class UnitState:
     """One planned work unit and (once available) its rows."""
 
-    #: index of the owning spec in the campaign's spec list
+    #: index of the owning spec in the sweep's spec list
     spec_index: int
     #: the trial indices this unit covers (ascending, contiguous)
     indices: Tuple[int, ...]
@@ -55,8 +64,6 @@ class UnitState:
     key: str
     #: trial rows in index order; ``None`` until computed or cache-hit
     rows: Optional[List[Dict[str, Any]]] = None
-    #: whether the rows came from the cache rather than a backend
-    from_cache: bool = False
 
 
 def plan_units(
@@ -67,8 +74,7 @@ def plan_units(
     """Chunk every spec's trial range into content-addressed units.
 
     Plan order is (spec order, ascending trial index) -- the order rows
-    must appear in the final output, and therefore the order
-    :meth:`CampaignRunner.iter_finalized` releases units in.
+    appear in the executor's output.
     """
     units: List[UnitState] = []
     for spec_index, spec in enumerate(specs):
@@ -84,161 +90,3 @@ def plan_units(
                 )
             )
     return units
-
-
-class CampaignRunner:
-    """Drive a sweep campaign through any execution backend.
-
-    Parameters
-    ----------
-    backend:
-        The :class:`ExecutionBackend` that computes pending units.
-    cache:
-        Shared :class:`ResultCache`, or ``None`` to always recompute.
-        The cache is both memo and checkpoint: hits skip submission,
-        and every completion is banked immediately.
-    chunk_size:
-        Trials per unit; part of cache-key identity, so keep it stable
-        across runs that should share entries.
-    """
-
-    def __init__(
-        self,
-        backend: ExecutionBackend,
-        cache: Optional[ResultCache] = None,
-        chunk_size: int = DEFAULT_CHUNK_SIZE,
-    ) -> None:
-        self.backend = backend
-        self.cache = cache
-        self.chunk_size = chunk_size
-        self._lock = threading.Lock()
-        #: cumulative campaign counters (thread-safe via :meth:`status`)
-        self.units_total = 0
-        self.units_completed = 0
-        self.units_cached = 0
-        self.units_failed = 0
-
-    def _bump(self, counter: str, by: int = 1) -> None:
-        """Thread-safe increment of a cumulative counter."""
-        with self._lock:
-            setattr(self, counter, getattr(self, counter) + by)
-
-    def iter_finalized(
-        self,
-        specs: Sequence[ScenarioSpec],
-        root_seed: int = 0,
-        stats: Optional[ExecStats] = None,
-    ) -> Iterator[UnitState]:
-        """Yield every planned unit, rows attached, in **plan order**.
-
-        Units finalize as soon as they and every plan-order predecessor
-        have rows -- a cache hit late in the plan still waits for the
-        computed unit before it, so a streaming consumer writes the
-        same bytes a batch consumer would.  Completions are banked to
-        the cache the moment the backend reports them (before ordered
-        release), so an interruption never loses finished work.
-
-        ``stats``, when given, is filled in-place with this run's
-        accounting (hit/miss split, trials computed).
-        """
-        units = plan_units(specs, root_seed, self.chunk_size)
-        self._bump("units_total", len(units))
-        pending: List[UnitState] = []
-        for unit in units:
-            cached = self.cache.get(unit.key) if self.cache else None
-            if cached is not None and len(cached) == len(unit.indices):
-                unit.rows = cached
-                unit.from_cache = True
-                self._bump("units_cached")
-            else:
-                pending.append(unit)
-        if stats is not None:
-            stats.units_total = len(units)
-            stats.cache_hits = len(units) - len(pending)
-            stats.cache_misses = len(pending)
-            stats.trials_total = sum(s.trials for s in specs)
-            stats.trials_computed = sum(len(u.indices) for u in pending)
-            stats.workers = self.backend.workers
-            stats.cache_enabled = self.cache is not None
-
-        payloads = [
-            (specs[u.spec_index].as_dict(), int(root_seed), u.indices)
-            for u in pending
-        ]
-        cursor = 0
-        try:
-            completions = (
-                self.backend.run_units(_run_unit, payloads)
-                if payloads
-                else iter(())
-            )
-            for pending_index, rows in completions:
-                unit = pending[pending_index]
-                unit.rows = rows
-                self._bank(specs[unit.spec_index], root_seed, unit)
-                self._bump("units_completed")
-                while cursor < len(units) and units[cursor].rows is not None:
-                    yield units[cursor]
-                    cursor += 1
-        except BackendError:
-            self._bump("units_failed", len(units) - cursor)
-            raise
-        # everything after the last computed unit is cache hits
-        while cursor < len(units):
-            unit = units[cursor]
-            if unit.rows is None:
-                self._bump("units_failed", len(units) - cursor)
-                raise BackendError(
-                    f"backend {self.backend.name!r} finished without "
-                    f"completing unit {cursor} (key {unit.key[:12]}...)"
-                )
-            yield unit
-            cursor += 1
-
-    def _bank(
-        self, spec: ScenarioSpec, root_seed: int, unit: UnitState
-    ) -> None:
-        """Checkpoint one completed unit into the shared store."""
-        if self.cache is None:
-            return
-        self.cache.put(
-            unit.key,
-            unit.rows or [],
-            meta={
-                "scenario_key": spec.scenario_key(),
-                "root_seed": int(root_seed),
-                "indices": list(unit.indices),
-            },
-        )
-
-    def run(
-        self, specs: Sequence[ScenarioSpec], root_seed: int = 0
-    ) -> SweepRunResult:
-        """Execute the campaign; per-spec rows in trial order plus stats.
-
-        The batch form of :meth:`iter_finalized`: same units, same
-        bytes, assembled into one :class:`SweepRunResult`.
-        """
-        started = time.perf_counter()
-        stats = ExecStats()
-        per_spec: List[List[Dict[str, Any]]] = [[] for _ in specs]
-        for unit in self.iter_finalized(specs, root_seed, stats=stats):
-            assert unit.rows is not None
-            per_spec[unit.spec_index].extend(unit.rows)
-        stats.trials_total = sum(s.trials for s in specs)
-        stats.workers = self.backend.workers
-        stats.cache_enabled = self.cache is not None
-        stats.wall_clock_s = time.perf_counter() - started
-        return SweepRunResult(rows=per_spec, stats=stats)
-
-    def status(self) -> Dict[str, Any]:
-        """Cumulative campaign counters plus the backend's live state."""
-        with self._lock:
-            snapshot = {
-                "units_total": self.units_total,
-                "units_completed": self.units_completed,
-                "units_cached": self.units_cached,
-                "units_failed": self.units_failed,
-            }
-        snapshot["backend"] = self.backend.status()
-        return snapshot

@@ -1,14 +1,22 @@
 """The parallel, cached sweep executor.
 
 :class:`SweepExecutor` turns a list of :class:`~repro.exec.specs.
-ScenarioSpec` into per-trial result rows.  Since the backend tier landed
-it is a thin, stable facade: planning and caching live in
-:mod:`repro.exec.campaign`, and the actual computation runs on a
-pluggable :class:`~repro.exec.backends.base.ExecutionBackend` --
-in-process (``serial``), one-box ``multiprocessing`` (``pool``), or
-remote workers over TCP (``socket``).  ``workers=1`` maps to serial,
-``workers>1`` to pool, and ``backend=`` overrides either with a name or
-a ready backend instance.
+ScenarioSpec` into per-trial result rows.  One :meth:`SweepExecutor.run`
+call walks the whole pipeline:
+
+1. **plan** -- chunk every spec's trial range into content-addressed
+   work units (:func:`repro.exec.campaign.plan_units`);
+2. **probe** -- look each unit up in the :class:`~repro.exec.cache.
+   ResultCache` and keep only the misses;
+3. **compute** -- run the misses on an :class:`~repro.exec.backends.
+   base.ExecutionBackend`: in-process (``serial``, the ``workers=1``
+   default) or a one-box ``multiprocessing`` pool (``pool``, for
+   ``workers>1``);
+4. **bank** -- write every completed unit to the cache the moment the
+   backend reports it, so an interrupted sweep resumes from its last
+   completed unit;
+5. **assemble** -- concatenate unit rows in plan order, whatever order
+   the backend completed them in.
 
 Determinism contract
 --------------------
@@ -19,28 +27,31 @@ The executor's output is a pure function of ``(specs, root_seed)``:
   worker identity or execution order;
 - work units are chunks of *trial indices*, chunked the same way
   regardless of worker count or backend;
-- results are finalized in trial-index order by the campaign manager.
+- rows are assembled in plan order (spec order, trial-index order).
 
-So serial, parallel, remote, cached, and resumed runs all produce
-byte-identical row lists -- pinned by ``tests/test_exec_golden.py`` and
-cross-backend by ``tests/test_exec_campaign.py``.
+So serial, parallel, cached, and resumed runs all produce byte-identical
+row lists -- pinned by ``tests/test_exec_golden.py`` and cross-backend
+by ``tests/test_exec_campaign.py``.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
-from repro.exec.cache import ResultCache, code_version_tag, content_key
+from repro.exec import campaign
+from repro.exec.backends import (
+    BackendError,
+    ExecutionBackend,
+    PoolBackend,
+    SerialBackend,
+)
+from repro.exec.backends.base import UnitPayload
+from repro.exec.cache import ResultCache
 from repro.exec.seeds import derive_seed
 from repro.exec.specs import ScenarioSpec, run_trial
-
-#: Trials per work unit.  Independent of the worker count on purpose:
-#: cache keys embed the unit's trial indices, so chunking must not change
-#: when ``--workers`` does or cached units would never be rediscovered.
-DEFAULT_CHUNK_SIZE = 4
 
 
 @dataclass
@@ -68,8 +79,8 @@ class ExecStats:
         elapsed time -- overlapping campaigns double-count on purpose);
         ``workers`` takes the max and ``cache_enabled`` the OR, since a
         merged report answers "what resources/caching did this study
-        use anywhere".  Associative and commutative, so a campaign
-        service can fold stats over any number of sweeps in any order.
+        use anywhere".  Associative and commutative, so stats fold over
+        any number of sweeps in any order.
         """
         return ExecStats(
             workers=max(self.workers, other.workers),
@@ -112,42 +123,12 @@ class SweepRunResult:
     stats: ExecStats = field(default_factory=ExecStats)
 
 
-def unit_cache_key(
-    spec: ScenarioSpec, root_seed: int, indices: Sequence[int]
-) -> str:
-    """The content hash identifying one work unit on disk.
-
-    Covers the scenario parameters, the root seed, the exact trial
-    indices, and the code-version tag -- any change to any of them is a
-    different key, i.e. a cache miss.  ``collect_metrics`` is excluded
-    from the scenario identity (it does not change the simulation) but
-    changes the cached row *shape*, so it joins the key when set --
-    conditionally, to keep every pre-existing metrics-free cache entry
-    valid.  ``spec.engine`` never joins the key: the backends are
-    observationally identical (tests/test_fastpath_differential.py), so
-    cache rows are shared across engines -- a sweep computed on
-    ``reference`` is a 100% cache hit when rerun with ``fastpath``.
-    """
-    payload = {
-        "scenario": spec.key_payload(),
-        "root_seed": int(root_seed),
-        "indices": [int(i) for i in indices],
-        "code_version": code_version_tag(),
-    }
-    if spec.collect_metrics:
-        payload["collect_metrics"] = True
-    return content_key(payload)
-
-
-def _run_unit(
-    payload: Tuple[Dict[str, Any], int, Tuple[int, ...]]
-) -> List[Dict[str, Any]]:
+def _run_unit(payload: UnitPayload) -> List[Dict[str, Any]]:
     """Worker entry point: run one chunk of trials.
 
-    Takes a plain-data payload (picklable under every start method and
-    every backend wire) and returns the trial rows in index order.
-    Module-level so ``multiprocessing`` and the socket protocol can
-    ship it by reference.
+    Takes a plain-data payload (picklable under every start method) and
+    returns the trial rows in index order.  Module-level so
+    ``multiprocessing`` can ship it by reference.
     """
     spec_dict, root_seed, indices = payload
     spec = ScenarioSpec.from_dict(spec_dict)
@@ -173,20 +154,19 @@ class SweepExecutor:
         ``None`` (the default) to always recompute.
     chunk_size:
         Trials per work unit; keep it identical between runs that should
-        share cache entries (see :data:`DEFAULT_CHUNK_SIZE`).
+        share cache entries (see
+        :data:`~repro.exec.campaign.DEFAULT_CHUNK_SIZE`).
     backend:
-        Execution-backend override: a registry name (``"serial"`` /
-        ``"pool"``) or a ready :class:`~repro.exec.backends.base.
-        ExecutionBackend` instance (how a ``socket`` fleet is plugged
-        in).  ``None`` derives serial/pool from ``workers``.
+        A ready :class:`~repro.exec.backends.base.ExecutionBackend` to
+        run on instead of the one ``workers`` selects.
     """
 
     def __init__(
         self,
         workers: int = 1,
         cache: Optional[ResultCache] = None,
-        chunk_size: int = DEFAULT_CHUNK_SIZE,
-        backend: Optional[Union[str, "Any"]] = None,
+        chunk_size: int = campaign.DEFAULT_CHUNK_SIZE,
+        backend: Optional[ExecutionBackend] = None,
     ) -> None:
         if workers < 1:
             raise ConfigurationError(f"workers must be >= 1, got {workers}")
@@ -199,27 +179,13 @@ class SweepExecutor:
         self.chunk_size = chunk_size
         self.backend = backend
 
-    def _resolve_backend(self) -> "Any":
-        """Materialize the execution backend for one run."""
-        # local import: repro.exec.campaign imports this module
-        from repro.exec.backends import ExecutionBackend, make_backend
-
-        if isinstance(self.backend, ExecutionBackend):
+    def _resolve_backend(self) -> ExecutionBackend:
+        """The execution backend for one run."""
+        if self.backend is not None:
             return self.backend
-        if isinstance(self.backend, str):
-            return make_backend(self.backend, workers=self.workers)
-        return make_backend(
-            "serial" if self.workers == 1 else "pool", workers=self.workers
-        )
-
-    # -- planning -----------------------------------------------------------
-
-    def _plan(self, specs: Sequence[ScenarioSpec], root_seed: int):
-        """Chunk every spec's trial range into work units (see
-        :func:`repro.exec.campaign.plan_units`)."""
-        from repro.exec.campaign import plan_units
-
-        return plan_units(specs, root_seed, self.chunk_size)
+        if self.workers == 1:
+            return SerialBackend()
+        return PoolBackend(workers=self.workers)
 
     def checkpointed(
         self, specs: Sequence[ScenarioSpec], root_seed: int = 0
@@ -229,40 +195,69 @@ class SweepExecutor:
         The resume probe: how much of the sweep an earlier (possibly
         interrupted) run already banked under the current cache root.
         """
-        units = self._plan(specs, root_seed)
+        units = campaign.plan_units(specs, root_seed, self.chunk_size)
         if self.cache is None:
             return 0, len(units)
         done = sum(1 for u in units if self.cache.contains(u.key))
         return done, len(units)
 
-    # -- execution ----------------------------------------------------------
-
     def run(
         self, specs: Sequence[ScenarioSpec], root_seed: int = 0
     ) -> SweepRunResult:
         """Execute every trial of every spec; see the module docstring
-        for the determinism contract.
+        for the pipeline and the determinism contract.
 
         Returns one row list per spec (in spec order, rows in
-        trial-index order) plus :class:`ExecStats`.  Delegates to
-        :class:`~repro.exec.campaign.CampaignRunner` on the resolved
-        backend; a backend constructed here (rather than passed in) is
-        closed afterwards.
+        trial-index order) plus :class:`ExecStats`.  Raises
+        :class:`~repro.exec.backends.base.BackendError` when the backend
+        finishes without completing every pending unit.
         """
-        # local import: repro.exec.campaign imports this module
-        from repro.exec.backends import ExecutionBackend
-        from repro.exec.campaign import CampaignRunner
-
         started = time.perf_counter()
+        units = campaign.plan_units(specs, root_seed, self.chunk_size)
+        pending: List[campaign.UnitState] = []
+        for unit in units:
+            cached = self.cache.get(unit.key) if self.cache is not None else None
+            if cached is not None and len(cached) == len(unit.indices):
+                unit.rows = cached
+            else:
+                pending.append(unit)
+
         backend = self._resolve_backend()
-        owns_backend = not isinstance(self.backend, ExecutionBackend)
-        try:
-            runner = CampaignRunner(
-                backend, cache=self.cache, chunk_size=self.chunk_size
-            )
-            result = runner.run(specs, root_seed=root_seed)
-        finally:
-            if owns_backend:
-                backend.close()
-        result.stats.wall_clock_s = time.perf_counter() - started
-        return result
+        payloads = [
+            (specs[u.spec_index].as_dict(), int(root_seed), u.indices)
+            for u in pending
+        ]
+        for index, rows in backend.run_units(_run_unit, payloads):
+            unit = pending[index]
+            unit.rows = rows
+            if self.cache is not None:
+                # bank on completion: an interrupted sweep keeps it
+                self.cache.put(
+                    unit.key,
+                    rows,
+                    meta={
+                        "scenario_key": specs[unit.spec_index].scenario_key(),
+                        "root_seed": int(root_seed),
+                        "indices": list(unit.indices),
+                    },
+                )
+
+        per_spec: List[List[Dict[str, Any]]] = [[] for _ in specs]
+        for position, unit in enumerate(units):
+            if unit.rows is None:
+                raise BackendError(
+                    f"backend {backend.name!r} finished without "
+                    f"completing unit {position} (key {unit.key[:12]}...)"
+                )
+            per_spec[unit.spec_index].extend(unit.rows)
+        stats = ExecStats(
+            workers=backend.workers,
+            units_total=len(units),
+            cache_hits=len(units) - len(pending),
+            cache_misses=len(pending),
+            trials_total=sum(s.trials for s in specs),
+            trials_computed=sum(len(u.indices) for u in pending),
+            wall_clock_s=time.perf_counter() - started,
+            cache_enabled=self.cache is not None,
+        )
+        return SweepRunResult(rows=per_spec, stats=stats)

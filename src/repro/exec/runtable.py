@@ -252,8 +252,9 @@ def load_runtable(path: str) -> RunTable:
     return RunTable.from_dict(data)
 
 
-def _summarize(rows: Sequence[Dict[str, Any]]) -> Dict[str, Any]:
-    """Aggregate one cell's trial rows (same folds as the sweep layer)."""
+def summarize_rows(rows: Sequence[Dict[str, Any]]) -> Dict[str, Any]:
+    """Aggregate one cell's trial rows: the fractions of trials that
+    achieved broadcast and stayed safe, and per-trial means."""
     n = len(rows)
     return {
         "trials": n,
@@ -280,7 +281,7 @@ class RunTableResult:
             "schema": RUNTABLE_SCHEMA,
             "table": self.table.as_dict(),
             "runs": [
-                dict(unit.as_dict(), summary=_summarize(rows), rows=rows)
+                dict(unit.as_dict(), summary=summarize_rows(rows), rows=rows)
                 for unit, rows in zip(self.units, self.rows)
             ],
             "stats": self.stats.as_dict(),

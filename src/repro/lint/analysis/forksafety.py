@@ -1,14 +1,12 @@
 """``fork-safety``: worker-submitted closures must not touch shared
 state.
 
-The sweep tier fans work units out to workers in other processes -- a
-forked ``multiprocessing`` pool, or remote hosts reached over the
-socket backend's pickle wire.  Either way the worker sees a *snapshot*
-of module state (fork copy or fresh import); anything the submitted
-closure mutates -- or reads from a module-level mutable that the parent
-may have mutated -- silently diverges between serial (``workers=1``)
-and parallel/remote runs, breaking the executor's byte-identical
-contract.
+The sweep executor fans work units out to worker processes through a
+forked ``multiprocessing`` pool.  A worker sees a *snapshot* of module
+state; anything the submitted closure mutates -- or reads from a
+module-level mutable that the parent may have mutated -- silently
+diverges between serial (``workers=1``) and parallel runs, breaking the
+executor's byte-identical contract.
 
 The pass finds every function submitted across a process boundary:
 
@@ -17,9 +15,11 @@ The pass finds every function submitted across a process boundary:
   multiprocessing idiom), and
 - the first argument of **any** ``.run_units(fn, payloads)`` call --
   the :class:`~repro.exec.backends.base.ExecutionBackend` protocol
-  method, regardless of receiver, so a unit function handed to the
-  campaign manager is covered no matter which backend (pool, socket,
-  a future one) ends up shipping it
+  method, regardless of receiver.  :meth:`repro.exec.executor.
+  SweepExecutor.run` hands its unit function to whichever backend it
+  resolved, so the pool backend's own ``imap_unordered`` call only
+  ever sees an opaque parameter; this is the site that names the
+  function the pool will ship
 
 and walks its call closure for:
 
@@ -62,8 +62,8 @@ _SUBMIT_METHODS = {
 }
 
 #: ExecutionBackend methods whose first argument is a function shipped
-#: to workers -- matched on *any* receiver, because backends are passed
-#: around as parameters/attributes and rarely constructed in scope
+#: to workers -- matched on *any* receiver, because the executor holds
+#: its backend in a local resolved at run time, never a Pool literal
 _BACKEND_SUBMIT_METHODS = {"run_units"}
 
 #: method names that mutate their receiver in place (the model-rule set

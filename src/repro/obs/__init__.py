@@ -10,10 +10,7 @@ execution *legible* without perturbing it.  Three pieces:
   (:class:`JsonlRecorder`) and the schema-versioned
   :func:`metrics_summary` (byte-reproducible given the same seed);
 - :mod:`repro.obs.profile` -- :class:`PhaseProfiler`, opt-in wall-clock
-  phase accounting of the engine hot loop;
-- :mod:`repro.obs.prom` -- Prometheus text exposition (deterministic
-  rendering + strict parsing) backing the ``repro serve`` ``/metrics``
-  endpoint.
+  phase accounting of the engine hot loop.
 
 Observers are pure listeners: the engine emits events at its
 transmission / delivery / commit / crash points and never reads anything
@@ -36,28 +33,15 @@ from repro.obs.export import (
 )
 from repro.obs.metrics import EngineObserver, RunMetrics
 from repro.obs.profile import PhaseProfiler
-from repro.obs.prom import (
-    MetricFamily,
-    PromFormatError,
-    Sample,
-    parse_metrics,
-    render_metrics,
-    validate_metrics_text,
-)
 
 __all__ = [
     "OBS_SCHEMA_VERSION",
     "EngineObserver",
     "JsonlRecorder",
-    "MetricFamily",
     "PhaseProfiler",
-    "PromFormatError",
     "RunMetrics",
-    "Sample",
     "canonical_json",
     "metrics_summary",
-    "parse_metrics",
-    "render_metrics",
     "validate_event",
     "validate_jsonl",
 ]

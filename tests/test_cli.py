@@ -28,6 +28,11 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["sweep", "quantum"])
 
+    @pytest.mark.parametrize("command", ["serve", "worker"])
+    def test_serving_tier_is_gone(self, command):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([command])
+
 
 class TestCommands:
     def test_list(self, capsys):
@@ -72,6 +77,33 @@ class TestCommands:
         assert second["points"] == first["points"]
         assert second["stats"]["cache_hits"] == second["stats"]["units_total"]
         assert second["stats"]["cache_misses"] == 0
+
+    def test_crash_sweep_runs_the_named_protocol(self, tmp_path):
+        """``--protocol`` is honoured for crash sweeps too: a CPA crash
+        sweep computes different cells than the crash-flood default."""
+        import json
+
+        def points(*extra):
+            report = tmp_path / "report.json"
+            assert main([
+                "sweep", "crash", "--r", "1", "--budgets", "2",
+                "--trials", "2", "--no-cache", "--json", str(report),
+                *extra,
+            ]) == 0
+            return json.loads(report.read_text())
+
+        flood = points()
+        cpa = points("--protocol", "cpa")
+        assert (flood["protocol"], cpa["protocol"]) == ("crash-flood", "cpa")
+        assert flood["points"] != cpa["points"]
+
+    def test_sweep_refuses_fastpath_byzantine_by_name(self, capsys):
+        code = main([
+            "sweep", "byzantine", "--r", "1", "--budgets", "0",
+            "--trials", "1", "--engine", "fastpath", "--no-cache",
+        ])
+        assert code == 2
+        assert "no Byzantine-capable fastpath kernel" in capsys.readouterr().err
 
     def test_demo_safe_run_exit_zero(self, capsys):
         code = main(

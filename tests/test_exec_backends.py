@@ -1,13 +1,5 @@
-"""Execution-backend tests: protocol conformance for serial/pool,
-socket wire protocol (handshake, liveness, requeue), and cross-backend
-row identity.
-
-The socket tests run real TCP over loopback with in-process
-:class:`WorkerServer` threads; worker death is injected with the
-``max_units`` hook (the worker computes a unit and vanishes without
-sending the result -- indistinguishable on the wire from a killed
-process).
-"""
+"""Execution-backend tests: backend selection, protocol conformance
+for serial/pool, and cross-backend row identity."""
 
 from __future__ import annotations
 
@@ -15,22 +7,12 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.exec import ScenarioSpec
-from repro.exec.backends import (
-    BackendError,
-    PoolBackend,
-    SerialBackend,
-    SocketBackend,
-    WorkerServer,
-    make_backend,
-)
-from repro.exec.backends.socket import parse_worker_addr
+from repro.exec import SweepExecutor
+from repro.exec.backends import PoolBackend, SerialBackend
 from repro.exec.executor import _run_unit
 
-CRASH = ScenarioSpec(kind="crash", r=1, t=1, trials=4, protocol="crash-flood")
-
-
 def _payloads(n=3, trials_per_unit=2):
-    """Real work-unit payloads: n units over the CRASH spec."""
+    """Real work-unit payloads: n units over one crash spec."""
     spec = ScenarioSpec(
         kind="crash",
         r=1,
@@ -54,41 +36,23 @@ def _echo(payload):
     return [{"seed": root_seed, "index": i} for i in indices]
 
 
-def _boom(payload):
-    """Unit function that always fails (unit-error path)."""
-    raise ValueError("intentional unit failure")
-
-
 class TestRegistry:
-    def test_make_backend_names(self):
-        assert isinstance(make_backend("serial"), SerialBackend)
-        assert isinstance(make_backend("pool", workers=3), PoolBackend)
-
-    def test_socket_needs_addresses(self):
-        with pytest.raises(ConfigurationError, match="worker"):
-            make_backend("socket")
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ConfigurationError, match="unknown backend"):
-            make_backend("carrier-pigeon")
+    def test_workers_select_the_backend(self):
+        serial = SweepExecutor(workers=1)._resolve_backend()
+        pool = SweepExecutor(workers=3)._resolve_backend()
+        assert isinstance(serial, SerialBackend)
+        assert isinstance(pool, PoolBackend) and pool.workers == 3
 
     def test_pool_workers_must_be_positive(self):
         with pytest.raises(ConfigurationError, match="workers"):
             PoolBackend(workers=0)
-
-    def test_parse_worker_addr(self):
-        assert parse_worker_addr("127.0.0.1:9000") == ("127.0.0.1", 9000)
-        assert parse_worker_addr(("h", 1)) == ("h", 1)
-        with pytest.raises(ConfigurationError, match="host:port"):
-            parse_worker_addr("no-port-here")
 
 
 class TestProtocolConformance:
     """Every backend yields each index exactly once with equal rows."""
 
     def _drain(self, backend, payloads):
-        with backend:
-            return dict(backend.run_units(_echo, payloads))
+        return dict(backend.run_units(_echo, payloads))
 
     def test_serial_in_order(self):
         out = self._drain(SerialBackend(), _payloads())
@@ -113,106 +77,3 @@ class TestProtocolConformance:
             PoolBackend(workers=2).run_units(_run_unit, payloads)
         )
         assert pooled == serial
-
-    def test_status_shape(self):
-        for backend in (SerialBackend(), PoolBackend(workers=2)):
-            status = backend.status()
-            assert set(status) == {
-                "backend",
-                "queue_depth",
-                "workers_total",
-                "workers_live",
-            }
-            assert status["queue_depth"] == 0
-
-
-@pytest.fixture
-def worker():
-    """One live in-process socket worker (ephemeral port)."""
-    server = WorkerServer()
-    server.start()
-    yield server
-    server.stop()
-
-
-class TestSocketBackend:
-    def test_runs_units_over_tcp(self, worker):
-        backend = SocketBackend([worker.address], unit_timeout_s=30.0)
-        out = dict(backend.run_units(_echo, _payloads()))
-        assert sorted(out) == [0, 1, 2]
-        assert worker.units_done == 3
-
-    def test_matches_serial_rows(self, worker):
-        payloads = _payloads()
-        backend = SocketBackend([worker.address], unit_timeout_s=30.0)
-        assert dict(backend.run_units(_run_unit, payloads)) == dict(
-            SerialBackend().run_units(_run_unit, payloads)
-        )
-
-    def test_no_worker_at_address(self):
-        # port 1 on loopback: nothing listens there
-        backend = SocketBackend(
-            [("127.0.0.1", 1)], connect_timeout_s=0.5
-        )
-        with pytest.raises(BackendError, match="no usable workers"):
-            list(backend.run_units(_echo, _payloads(1)))
-
-    def test_version_skew_rejected(self):
-        """A worker on a different cache-key schema refuses the
-        handshake -- it must not compute rows under the wrong keys."""
-        server = WorkerServer(schema="someone-elses-schema")
-        server.start()
-        try:
-            backend = SocketBackend([server.address])
-            with pytest.raises(BackendError, match="mismatch"):
-                list(backend.run_units(_echo, _payloads(1)))
-        finally:
-            server.stop()
-
-    def test_unit_error_propagates(self, worker):
-        """A unit function that raises fails the campaign (no requeue:
-        it would fail identically anywhere)."""
-        backend = SocketBackend([worker.address], unit_timeout_s=30.0)
-        with pytest.raises(BackendError, match="intentional unit failure"):
-            list(backend.run_units(_boom, _payloads(1)))
-
-    def test_killed_worker_requeues_to_survivor(self):
-        """A worker dying mid-campaign loses nothing: its in-flight
-        unit requeues and a surviving worker recomputes it, with rows
-        identical to an undisturbed serial run."""
-        dying = WorkerServer(max_units=1)
-        dying.start()
-        survivor = WorkerServer()
-        survivor.start()
-        try:
-            payloads = _payloads(n=6)
-            backend = SocketBackend(
-                [dying.address, survivor.address],
-                heartbeat_s=5.0,
-                unit_timeout_s=30.0,
-            )
-            out = dict(backend.run_units(_run_unit, payloads))
-            assert sorted(out) == list(range(6))
-            assert out == dict(
-                SerialBackend().run_units(_run_unit, payloads)
-            )
-            # the dying worker really did compute (and swallow) a unit
-            assert dying.units_done == 1
-            assert survivor.units_done == 6
-        finally:
-            dying.stop()
-            survivor.stop()
-
-    def test_last_worker_death_raises(self):
-        """When every worker is gone with units outstanding the
-        campaign fails loudly instead of hanging."""
-        only = WorkerServer(max_units=1)
-        only.start()
-        try:
-            backend = SocketBackend(
-                [only.address], heartbeat_s=2.0, unit_timeout_s=5.0
-            )
-            with pytest.raises(BackendError, match="lost every worker"):
-                list(backend.run_units(_run_unit, _payloads(n=4)))
-        finally:
-            only.stop()

@@ -88,7 +88,7 @@ class TestInvalidation:
     def test_code_version_in_key(self, monkeypatch):
         base = unit_cache_key(self.SPEC, 0, (0, 1))
         monkeypatch.setattr(
-            "repro.exec.executor.code_version_tag", lambda: "other-version"
+            "repro.exec.campaign.code_version_tag", lambda: "other-version"
         )
         assert unit_cache_key(self.SPEC, 0, (0, 1)) != base
 

@@ -1,11 +1,9 @@
-"""Campaign-manager tests: ordered finalization, checkpoint-on-
-complete, and the cross-backend determinism contract.
+"""Sweep-executor pipeline tests: planning, ordered assembly,
+checkpoint-on-complete, and the cross-backend determinism contract.
 
-The acceptance chain from the service tier's design: one sweep computed
-on the serial backend, rerun on the pool backend, then rerun again over
-the socket backend -- each rerun is a 100% cache hit with byte-identical
-rows, including across a flat->sharded cache-layout migration and a
-killed socket worker.
+The acceptance chain: one sweep computed on the serial backend, rerun
+on the pool backend after its store was demoted to the legacy flat
+layout -- the rerun is a 100% cache hit with byte-identical rows.
 """
 
 from __future__ import annotations
@@ -16,19 +14,18 @@ import os
 import pytest
 
 from repro.exec import (
-    CampaignRunner,
     ResultCache,
     ScenarioSpec,
     SweepExecutor,
+    derive_seed,
     plan_units,
+    run_trial,
 )
 from repro.exec.backends import (
     BackendError,
     ExecutionBackend,
     PoolBackend,
     SerialBackend,
-    SocketBackend,
-    WorkerServer,
 )
 from repro.exec.cache import SHARD_DIR
 
@@ -56,6 +53,17 @@ def _demote_to_flat(cache):
         shard.rmdir()
 
 
+class ReversingBackend(ExecutionBackend):
+    """Completes units in reverse submission order."""
+
+    name = "reversing"
+
+    def run_units(self, fn, payloads):
+        """Yield (index, rows) last-submitted-first."""
+        for index in reversed(range(len(payloads))):
+            yield index, fn(payloads[index])
+
+
 class TestPlanning:
     def test_plan_order_is_spec_then_trial(self):
         units = plan_units([CRASH, BYZ], root_seed=0, chunk_size=4)
@@ -72,46 +80,25 @@ class TestPlanning:
 
 
 class TestOrderedFinalization:
-    def test_units_finalize_in_plan_order(self, tmp_path):
-        """Whatever order the backend completes in, units come out in
-        plan order with rows attached."""
-
-        class ReversingBackend(ExecutionBackend):
-            """Completes units in reverse submission order."""
-
-            name = "reversing"
-
-            def run_units(self, fn, payloads):
-                """Yield (index, rows) last-submitted-first."""
-                for index in reversed(range(len(payloads))):
-                    yield index, fn(payloads[index])
-
-        runner = CampaignRunner(ReversingBackend(), chunk_size=2)
-        finalized = list(runner.iter_finalized([CRASH], root_seed=1))
-        assert [u.indices for u in finalized] == [
-            (0, 1),
-            (2, 3),
-            (4, 5),
+    def test_units_finalize_in_plan_order(self):
+        """Whatever order the backend completes in, rows come out in
+        plan order: row i is trial i."""
+        result = SweepExecutor(chunk_size=2, backend=ReversingBackend()).run(
+            [CRASH], root_seed=1
+        )
+        key = CRASH.scenario_key()
+        assert result.rows[0] == [
+            run_trial(CRASH, derive_seed(1, key, index))
+            for index in range(CRASH.trials)
         ]
-        assert all(u.rows is not None for u in finalized)
 
-    def test_reversed_completion_rows_match_serial(self, tmp_path):
-        class ReversingBackend(ExecutionBackend):
-            """Completes units in reverse submission order."""
-
-            name = "reversing"
-
-            def run_units(self, fn, payloads):
-                """Yield (index, rows) last-submitted-first."""
-                for index in reversed(range(len(payloads))):
-                    yield index, fn(payloads[index])
-
-        reference = CampaignRunner(SerialBackend(), chunk_size=2).run(
+    def test_reversed_completion_rows_match_serial(self):
+        reference = SweepExecutor(chunk_size=2, backend=SerialBackend()).run(
             [CRASH, BYZ], root_seed=3
         )
-        reversed_run = CampaignRunner(ReversingBackend(), chunk_size=2).run(
-            [CRASH, BYZ], root_seed=3
-        )
+        reversed_run = SweepExecutor(
+            chunk_size=2, backend=ReversingBackend()
+        ).run([CRASH, BYZ], root_seed=3)
         assert canonical(reversed_run.rows) == canonical(reference.rows)
 
     def test_incomplete_backend_raises(self):
@@ -125,51 +112,59 @@ class TestOrderedFinalization:
                 for index in range(len(payloads) - 1):
                     yield index, fn(payloads[index])
 
-        runner = CampaignRunner(LossyBackend(), chunk_size=2)
+        executor = SweepExecutor(chunk_size=2, backend=LossyBackend())
         with pytest.raises(BackendError, match="without completing"):
-            list(runner.iter_finalized([CRASH], root_seed=0))
+            executor.run([CRASH], root_seed=0)
 
 
 class TestCheckpointing:
     def test_completions_banked_immediately(self, tmp_path):
-        """Every completed unit is on disk before the campaign ends --
-        an interrupt after unit k keeps units 0..k."""
+        """Every completed unit is on disk before the sweep ends -- an
+        interrupt after unit k keeps units 0..k."""
+
+        class InterruptedBackend(ExecutionBackend):
+            """Completes one unit, then the sweep is interrupted."""
+
+            name = "interrupted"
+
+            def run_units(self, fn, payloads):
+                """Yield the first unit's rows, then raise."""
+                yield 0, fn(payloads[0])
+                raise KeyboardInterrupt
+
         cache = ResultCache(tmp_path)
-        runner = CampaignRunner(SerialBackend(), cache=cache, chunk_size=2)
-        stream = runner.iter_finalized([CRASH], root_seed=0)
-        first = next(stream)
-        assert cache.contains(first.key)
-        stream.close()  # abandon the campaign mid-flight
+        executor = SweepExecutor(
+            cache=cache, chunk_size=2, backend=InterruptedBackend()
+        )
+        with pytest.raises(KeyboardInterrupt):
+            executor.run([CRASH], root_seed=0)
         # the rerun reuses the banked unit
         stats_probe = SweepExecutor(cache=cache, chunk_size=2)
-        done, total = stats_probe.checkpointed([CRASH], root_seed=0)
-        assert total == 3 and done >= 1
+        assert stats_probe.checkpointed([CRASH], root_seed=0) == (1, 3)
 
     def test_counters_accumulate(self, tmp_path):
         cache = ResultCache(tmp_path)
-        runner = CampaignRunner(SerialBackend(), cache=cache, chunk_size=2)
-        runner.run([CRASH], root_seed=0)
-        assert runner.units_completed == 3
-        assert runner.units_cached == 0
-        runner.run([CRASH], root_seed=0)
-        assert runner.units_completed == 3
-        assert runner.units_cached == 3
-        status = runner.status()
-        assert status["units_total"] == 6
-        assert status["backend"]["backend"] == "serial"
+        executor = SweepExecutor(cache=cache, chunk_size=2)
+        cold = executor.run([CRASH], root_seed=0).stats
+        warm = executor.run([CRASH], root_seed=0).stats
+        assert (cold.cache_misses, cold.cache_hits) == (3, 0)
+        assert (warm.cache_misses, warm.cache_hits) == (0, 3)
+        total = cold + warm
+        assert total.units_total == 6
+        assert total.trials_computed == CRASH.trials
 
 
 class TestCrossBackendChain:
-    """The acceptance criterion: serial -> pool -> socket, one shared
-    store, every rerun 100% hits and byte-identical -- including a
-    flat->sharded migration and a killed worker along the way."""
+    """The acceptance criterion: serial -> pool, one shared store, the
+    rerun 100% hits and byte-identical -- straight through a
+    flat->sharded migration."""
 
-    def test_serial_pool_socket_all_hit_identically(self, tmp_path):
+    def test_serial_pool_all_hit_identically(self, tmp_path):
         specs = [CRASH, BYZ]
         cache = ResultCache(tmp_path / "store")
 
-        serial = CampaignRunner(
-            SerialBackend(), cache=cache, chunk_size=2
+        serial = SweepExecutor(
+            cache=cache, chunk_size=2, backend=SerialBackend()
         ).run(specs, root_seed=5)
         assert serial.stats.cache_misses == serial.stats.units_total
         baseline = canonical(serial.rows)
@@ -177,82 +172,20 @@ class TestCrossBackendChain:
         # demote the entire store to the legacy flat layout: the pool
         # rerun must migrate it back transparently, at 100% hits
         _demote_to_flat(cache)
-        pooled = CampaignRunner(
-            PoolBackend(workers=2), cache=cache, chunk_size=2
+        pooled = SweepExecutor(
+            cache=cache, chunk_size=2, backend=PoolBackend(workers=2)
         ).run(specs, root_seed=5)
         assert pooled.stats.cache_hits == pooled.stats.units_total
         assert canonical(pooled.rows) == baseline
 
-        # third pass over the socket backend, worker killed mid-run:
-        # still 100% hits (nothing recomputes), still identical bytes
-        dying = WorkerServer(max_units=1)
-        dying.start()
-        survivor = WorkerServer()
-        survivor.start()
-        try:
-            backend = SocketBackend(
-                [dying.address, survivor.address], unit_timeout_s=30.0
-            )
-            remote = CampaignRunner(
-                backend, cache=cache, chunk_size=2
-            ).run(specs, root_seed=5)
-        finally:
-            dying.stop()
-            survivor.stop()
-        assert remote.stats.cache_hits == remote.stats.units_total
-        assert canonical(remote.rows) == baseline
-
-    def test_socket_kill_and_requeue_byte_identical(self, tmp_path):
-        """Cold store + killed worker: requeued computation produces
-        the same bytes as an undisturbed serial campaign."""
-        specs = [CRASH]
-        reference = CampaignRunner(SerialBackend(), chunk_size=2).run(
-            specs, root_seed=9
-        )
-        dying = WorkerServer(max_units=1)
-        dying.start()
-        survivor = WorkerServer()
-        survivor.start()
-        try:
-            backend = SocketBackend(
-                [dying.address, survivor.address],
-                heartbeat_s=5.0,
-                unit_timeout_s=30.0,
-            )
-            cache = ResultCache(tmp_path / "cold")
-            remote = CampaignRunner(
-                backend, cache=cache, chunk_size=2
-            ).run(specs, root_seed=9)
-        finally:
-            dying.stop()
-            survivor.stop()
-        assert dying.units_done == 1  # it really did die mid-campaign
-        assert remote.stats.cache_misses == remote.stats.units_total
-        assert canonical(remote.rows) == canonical(reference.rows)
-
 
 class TestExecutorFacade:
-    """SweepExecutor delegates to the campaign tier transparently."""
+    """SweepExecutor runs on a backend instance it is handed."""
 
-    def test_backend_name_override(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        a = SweepExecutor(cache=cache, backend="serial").run([CRASH])
-        b = SweepExecutor(
-            workers=2, cache=cache, backend="pool"
-        ).run([CRASH])
-        assert canonical(a.rows) == canonical(b.rows)
-        assert b.stats.cache_hits == b.stats.units_total
-
-    def test_backend_instance_override(self, tmp_path):
-        worker = WorkerServer()
-        worker.start()
-        try:
-            backend = SocketBackend([worker.address], unit_timeout_s=30.0)
-            remote = SweepExecutor(cache=None, backend=backend).run(
-                [CRASH], root_seed=2
-            )
-        finally:
-            worker.stop()
+    def test_backend_instance_override(self):
+        remote = SweepExecutor(backend=ReversingBackend()).run(
+            [CRASH], root_seed=2
+        )
         local = SweepExecutor().run([CRASH], root_seed=2)
         assert canonical(remote.rows) == canonical(local.rows)
         assert remote.stats.workers == 1

@@ -4,13 +4,18 @@ The pass finds the functions shipped across a process boundary -- the
 first argument of ``pool.map``/``submit`` inside a ``with ...Pool(...)``
 block, and the first argument of any ``.run_units(fn, payloads)``
 ExecutionBackend submission -- walks their call closures, and flags the
-shared-state hazards a fork (or a remote re-import) can turn into
-silent divergence: mutable default arguments, global rebinding,
-module-state mutation, and reads of unfrozen module-level mutable
-registries.
+shared-state hazards a fork can turn into silent divergence: mutable
+default arguments, global rebinding, module-state mutation, and reads
+of unfrozen module-level mutable registries.
 """
 
+import os
+
+from repro.lint.analysis.forksafety import pool_entry_functions
+from repro.lint.sources import LintContext, discover_py_files, load_modules
 from tests.test_lint_rules import run_lint
+
+SRC_REPRO = os.path.join(os.path.dirname(__file__), "..", "src", "repro")
 
 RULE = ["fork-safety"]
 
@@ -23,12 +28,12 @@ EXECUTOR = (
     "        return pool.map(run_unit, payloads)\n"
 )
 
-#: A campaign submitting through the backend protocol: no Pool literal
+#: A sweep submitting through the backend protocol: no Pool literal
 #: anywhere, the receiver is an opaque parameter -- only the
 #: ``.run_units`` method name marks the boundary.
-BACKEND_CAMPAIGN = (
+BACKEND_SWEEP = (
     "from repro.exec.worker import run_unit\n"
-    "def campaign(backend, payloads):\n"
+    "def sweep(backend, payloads):\n"
     "    return list(backend.run_units(run_unit, payloads))\n"
 )
 
@@ -136,23 +141,22 @@ class TestHazards:
 
 class TestBackendSubmission:
     """``.run_units(fn, ...)`` is a submission boundary on any receiver
-    -- a unit function handed to a socket/pool backend gets the same
-    closure walk as a literal ``pool.map`` argument."""
+    -- a unit function handed to a backend gets the same closure walk as
+    a literal ``pool.map`` argument."""
 
     def lint_backend_worker(self, tmp_path, worker_source):
         return run_lint(
             tmp_path,
             {
-                "repro/exec/campaign.py": BACKEND_CAMPAIGN,
+                "repro/exec/executor.py": BACKEND_SWEEP,
                 "repro/exec/worker.py": worker_source,
             },
             RULE,
         )
 
     def test_mutable_default_into_backend_submission(self, tmp_path):
-        """The ISSUE's fixture: a mutable default carried into a
-        socket-backend submission is flagged without any Pool literal
-        in sight."""
+        """A mutable default carried into a backend submission is
+        flagged without any Pool literal in sight."""
         report = self.lint_backend_worker(
             tmp_path,
             "def run_unit(payload, seen=[]):\n"
@@ -189,7 +193,7 @@ class TestBackendSubmission:
         report = run_lint(
             tmp_path,
             {
-                "repro/exec/campaign.py": (
+                "repro/exec/executor.py": (
                     "from repro.exec.worker import run_unit\n"
                     "class Runner:\n"
                     "    def go(self, payloads):\n"
@@ -205,3 +209,16 @@ class TestBackendSubmission:
             RULE,
         )
         assert any("mutable default" in f.message for f in findings(report))
+
+
+class TestShippedTree:
+    def test_executor_unit_function_is_a_submission_entry(self):
+        """The executor's one ``run_units`` call site names the unit
+        function the pool ships, so the pass walks the real closure --
+        not just the fixtures above."""
+        modules, failures = load_modules(discover_py_files([SRC_REPRO]))
+        assert not failures
+        entries = pool_entry_functions(LintContext(modules).project)
+        assert "repro.exec.executor._run_unit" in {
+            fn.qualname for fn in entries
+        }

@@ -11,7 +11,7 @@ import json
 
 import pytest
 
-from repro.exec.executor import SweepExecutor, unit_cache_key
+from repro.exec import SweepExecutor, unit_cache_key
 from repro.exec.specs import ScenarioSpec
 from repro.experiments.scenarios import byzantine_broadcast_scenario
 from repro.obs import (
