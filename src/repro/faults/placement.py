@@ -8,31 +8,100 @@ upto ``t - 1`` neighbors that are also faulty": the faulty node plus its
 faulty neighbors stay within ``t``).
 
 All functions work either on the infinite grid (plain coordinates) or on a
-finite topology (pass ``topology=`` and coordinates are wrapped).
+finite topology (pass ``topology=`` and coordinates are wrapped).  On a
+torus the counting runs on its shared
+:class:`~repro.grid.stencil.TorusStencil` -- flat-index balls counted
+into a flat list -- and returns exactly what the per-point path
+(:func:`~repro.geometry.balls.closed_ball_points`) would, which every
+other topology still takes.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from collections import defaultdict
+from typing import (
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+    Union,
+)
 
 from repro.errors import InvalidPlacementError
 from repro.exec.seeds import derive_seed
 from repro.geometry.balls import closed_ball_points
 from repro.geometry.coords import Coord
 from repro.geometry.metrics import get_metric
+from repro.grid.stencil import TorusStencil
 from repro.grid.topology import Topology
 
+#: faults per closed-ball center: a flat list indexed by the stencil's
+#: flat index on a torus, a dict keyed by coordinate elsewhere
+Counts = Union[List[int], Dict[Coord, int]]
 
-def _closed_ball(
-    p: Coord, r: int, metric, topology: Optional[Topology]
-) -> List[Coord]:
-    """Closed metric ball around ``p``; wrapped when a topology is given.
 
-    Thin wrapper over :func:`repro.geometry.balls.closed_ball_points` --
-    the single implementation of the budget's counting geometry.
+def _plain(p: Coord) -> Coord:
+    return (p[0], p[1])
+
+
+def _ball_geometry(
+    r: int, metric, topology: Optional[Topology]
+) -> Tuple[
+    Optional[TorusStencil], Callable[[Coord], Coord], Callable[[Coord], list]
+]:
+    """``(stencil, canonical, ball)``: how to count faults per closed ball.
+
+    ``ball(node)`` lists the centers whose closed ball holds the
+    canonical ``node`` (balls are symmetric, so that is the ball around
+    ``node``).  On a torus the centers are flat indices of its
+    :class:`~repro.grid.stencil.TorusStencil`; elsewhere ``stencil`` is
+    ``None`` and they are the coordinates of
+    :func:`~repro.geometry.balls.closed_ball_points`, the one path that
+    handles truncated and infinite grids.
     """
-    return closed_ball_points(metric, p, r, topology)
+    m = get_metric(metric)
+    stencil = topology.ball_stencil(r, m) if topology is not None else None
+    canonical = topology.canonical if topology is not None else _plain
+    if stencil is not None:
+        return stencil, canonical, stencil.flat_ball
+    return None, canonical, lambda p: closed_ball_points(m, p, r, topology)
+
+
+def _zero_counts(stencil: Optional[TorusStencil]) -> Counts:
+    return [0] * stencil.size if stencil is not None else defaultdict(int)
+
+
+def _count(
+    faulty: Iterable[Coord],
+    stencil: Optional[TorusStencil],
+    canonical: Callable[[Coord], Coord],
+    ball: Callable[[Coord], list],
+) -> Counts:
+    """Faults per closed-ball center, each distinct fault counted once."""
+    counts = _zero_counts(stencil)
+    # sorted so a dict counter's insertion order is canonical even when
+    # ``faulty`` arrives as a set (counts are order-free, but downstream
+    # iteration over the result should not vary per run)
+    for node in sorted({canonical(f) for f in faulty}):
+        for center in ball(node):
+            counts[center] += 1
+    return counts
+
+
+def _over_budget(counts: Counts, t: int) -> set:
+    """The centers whose closed ball holds more than ``t`` faults."""
+    if isinstance(counts, list):
+        if max(counts, default=0) <= t:  # one C-speed scan when valid
+            return set()
+        items: Iterable = enumerate(counts)
+    else:
+        items = counts.items()
+    return {c for c, n in items if n > t}
 
 
 def fault_counts_per_nbd(
@@ -48,19 +117,11 @@ def fault_counts_per_nbd(
     to every center within distance ``r`` of it -- the ball is symmetric,
     so "centers covering f" equals "ball around f".
     """
-    counts: Dict[Coord, int] = {}
-    seen: Set[Coord] = set()
-    # sorted so the returned dict's insertion order is canonical even
-    # when ``faulty`` arrives as a set (counts are order-free, but
-    # downstream iteration over the result should not vary per run)
-    for f in sorted(faulty):
-        cf = topology.canonical(f) if topology is not None else (f[0], f[1])
-        if cf in seen:
-            continue
-        seen.add(cf)
-        for center in _closed_ball(cf, r, metric, topology):
-            counts[center] = counts.get(center, 0) + 1
-    return counts
+    stencil, canonical, ball = _ball_geometry(r, metric, topology)
+    counts = _count(faulty, stencil, canonical, ball)
+    if stencil is None:
+        return dict(counts)
+    return {stencil.coord(i): n for i, n in enumerate(counts) if n}
 
 
 def max_faults_per_nbd(
@@ -135,21 +196,15 @@ def trim_to_budget(
     (deterministic unless an ``rng`` breaks ties).  Greedy is not optimal
     in general but the constructions only ever need a handful of removals.
     """
-    m = get_metric(metric)
-    current: Set[Coord] = {
-        topology.canonical(f) if topology is not None else (f[0], f[1])
-        for f in faulty
-    }
+    stencil, canonical, ball = _ball_geometry(r, metric, topology)
+    current: Set[Coord] = {canonical(f) for f in faulty}
     while True:
-        counts = fault_counts_per_nbd(current, r, m, topology)
-        violating = {c for c, n in counts.items() if n > t}
+        violating = _over_budget(_count(current, stencil, canonical, ball), t)
         if not violating:
             return current
         # Score each fault by how many violating neighborhoods it sits in.
         def score(f: Coord) -> int:
-            return sum(
-                1 for c in _closed_ball(f, r, m, topology) if c in violating
-            )
+            return sum(1 for c in ball(f) if c in violating)
 
         ranked = sorted(current, key=lambda f: (-score(f), f))
         if rng is not None:
@@ -175,27 +230,27 @@ def greedy_random_placement(
     not break the budget.  Incremental counting makes this
     ``O(|candidates| * |ball|)``.
     """
-    m = get_metric(metric)
     if rng is None:
         rng = random.Random(
             derive_seed(0, "repro.faults.placement.greedy_random_placement", 0)
         )
     order = list(candidates)
     rng.shuffle(order)
-    counts: Dict[Coord, int] = {}
+    stencil, canonical, ball = _ball_geometry(r, metric, topology)
+    counts = _zero_counts(stencil)
+    count_of = counts.__getitem__
+    full = t.__le__  # a ball holding t faults takes no more
     chosen: Set[Coord] = set()
     for cand in order:
-        node = (
-            topology.canonical(cand) if topology is not None else (cand[0], cand[1])
-        )
+        node = canonical(cand)
         if node in chosen:
             continue
-        ball = _closed_ball(node, r, m, topology)
-        if any(counts.get(c, 0) + 1 > t for c in ball):
+        centers = ball(node)
+        if any(map(full, map(count_of, centers))):
             continue
         chosen.add(node)
-        for c in ball:
-            counts[c] = counts.get(c, 0) + 1
+        for c in centers:
+            counts[c] += 1
         if target_count is not None and len(chosen) >= target_count:
             break
     return chosen

@@ -102,11 +102,14 @@ def closed_ball_points(
     """All lattice points within radius ``r`` of ``center``, including it.
 
     This is the *closed* metric ball the locally-bounded fault budget is
-    counted over (paper, Section II).  With a finite ``topology`` every
-    point is wrapped to its canonical coordinate, so the returned list
-    may contain duplicates only if the topology is smaller than the
-    ball -- which topology constructors reject.
+    counted over (paper, Section II), listed in offset order with the
+    center last.  With a finite ``topology`` every point is wrapped to
+    its canonical coordinate, so the returned list may contain
+    duplicates only if the topology is smaller than the ball -- which
+    topology constructors reject.
 
+    On a torus the ball comes from its shared
+    :class:`~repro.grid.stencil.TorusStencil` (two table rows zipped).
     On topologies without wrap-around (:class:`~repro.grid.bounded.
     BoundedGrid`, :class:`~repro.grid.rgg.RandomGeometricGraph`) the ball
     is *truncated* to the points that actually host nodes: canonicalizing
@@ -115,6 +118,10 @@ def closed_ball_points(
     would be asymmetric between interior and boundary (the latent bug
     pinned by ``tests/test_grid_bounded.py``).
     """
+    if topology is not None:
+        stencil = topology.ball_stencil(r, metric)
+        if stencil is not None:
+            return stencil.closed_ball(center)
     cx, cy = center
     pts = [(cx + dx, cy + dy) for dx, dy in get_metric(metric).offsets(r)]
     pts.append((cx, cy))

@@ -18,11 +18,14 @@ Two concrete topologies exist:
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Iterable, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, Optional, Tuple
 
 from repro.errors import ConfigurationError
 from repro.geometry.coords import Coord
 from repro.geometry.metrics import Metric, get_metric
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.grid.stencil import TorusStencil
 
 
 class Topology(ABC):
@@ -75,6 +78,21 @@ class Topology(ABC):
             f"{type(self).__name__} is infinite; its node set cannot be "
             "enumerated"
         )
+
+    def neighbor_map(self) -> Dict[Coord, Tuple[Coord, ...]]:
+        """Every node's :meth:`neighbors`, keyed in sorted node order
+        (finite topologies only)."""
+        return {node: self.neighbors(node) for node in sorted(self.nodes())}
+
+    def ball_stencil(self, r: int, metric) -> Optional["TorusStencil"]:
+        """The wrap-around ball stencil for radius ``r`` under ``metric``.
+
+        Only a torus has one (:class:`~repro.grid.stencil.TorusStencil`);
+        every other topology returns ``None``, and ball geometry on it
+        goes through :meth:`canonical` and :meth:`contains` point by
+        point (:func:`~repro.geometry.balls.closed_ball_points`).
+        """
+        return None
 
     def neighborhood_size(self) -> int:
         """Population of a (generic) neighborhood, excluding the center."""

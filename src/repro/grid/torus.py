@@ -22,10 +22,12 @@ Sizing guidance
 
 from __future__ import annotations
 
-from typing import Iterator, Tuple
+from typing import Dict, Iterator, Tuple
 
 from repro.errors import ConfigurationError
 from repro.geometry.coords import Coord
+from repro.geometry.metrics import get_metric
+from repro.grid.stencil import TorusStencil, torus_stencil
 from repro.grid.topology import Topology
 
 
@@ -94,13 +96,16 @@ class Torus(Topology):
             for x in range(self._width):
                 yield (x, y)
 
-    def neighbors(self, p: Coord) -> Tuple[Coord, ...]:
-        x, y = self.canonical(p)
-        w, h = self._width, self._height
-        return tuple(
-            ((x + dx) % w, (y + dy) % h)
-            for dx, dy in self.metric.offsets(self.r)
+    def ball_stencil(self, r: int, metric) -> TorusStencil:
+        return torus_stencil(
+            self._width, self._height, int(r), get_metric(metric).name
         )
+
+    def neighbors(self, p: Coord) -> Tuple[Coord, ...]:
+        return self.ball_stencil(self.r, self.metric).neighbors(p)
+
+    def neighbor_map(self) -> Dict[Coord, Tuple[Coord, ...]]:
+        return self.ball_stencil(self.r, self.metric).neighbor_map()
 
     def toroidal_delta(self, a: Coord, b: Coord) -> Coord:
         """The shortest wrapped displacement from ``a`` to ``b``.

@@ -14,7 +14,9 @@ the derived seed: module-level ``random`` draws, unseeded
 ``random.Random()`` / ``random.SystemRandom()``, global
 ``numpy.random.*`` draws and unseeded ``numpy.random.default_rng()`` /
 ``RandomState()``, ``time.*``, ``os.urandom``, ``uuid.*``, ``id()`` /
-``hash()`` of objects, and order-sensitive iteration over a set
+``hash()`` of objects (a ``hash()`` whose result is discarded -- a bare
+expression statement probing hashability -- is not a source), and
+order-sensitive iteration over a set
 (including sets proven interprocedurally, e.g. a set passed into an
 ``Iterable`` parameter).
 
@@ -81,6 +83,11 @@ def _sources(
     env = model.local_env(fn)
     mod = fn.module.name
     out: List[Tuple[ast.AST, str]] = []
+    # calls whose value is discarded (bare expression statements): a
+    # discarded hash() only probes hashability, so no value escapes
+    discarded = {
+        stmt.value for stmt in ast.walk(fn.node) if isinstance(stmt, ast.Expr)
+    }
     for node in ast.walk(fn.node):
         if isinstance(node, ast.Attribute):
             dotted = model.resolve_dotted(mod, node)
@@ -115,8 +122,10 @@ def _sources(
             continue
         func = node.func
         if isinstance(func, ast.Name):
-            if func.id in ("id", "hash") and (
-                model.resolve_symbol(mod, func.id) is None
+            if (
+                func.id in ("id", "hash")
+                and model.resolve_symbol(mod, func.id) is None
+                and not (func.id == "hash" and node in discarded)
             ):
                 out.append(
                     (node, f"identity-dependent builtin '{func.id}()'")

@@ -171,10 +171,12 @@ class Engine:
         if max_rounds < 1:
             raise ConfigurationError(f"max_rounds must be >= 1, got {max_rounds}")
         self.topology = topology
-        self._all_nodes: List[Coord] = sorted(topology.nodes())
-        node_set = set(self._all_nodes)
+        self._neighbors: Dict[Coord, Tuple[Coord, ...]] = (
+            topology.neighbor_map()
+        )
+        self._all_nodes: List[Coord] = list(self._neighbors)
         for node in processes:
-            if topology.canonical(node) not in node_set:
+            if topology.canonical(node) not in self._neighbors:
                 raise ConfigurationError(f"process given for non-node {node}")
         # explicit None check: a process whose class defines a falsy
         # __bool__/__len__ is still a real process, not a silent node
@@ -221,9 +223,6 @@ class Engine:
         self.trace = Trace(record_events=record_events)
         self.round = -1  # on_start happens "before time"
         self._seq = 0
-        self._neighbors: Dict[Coord, Tuple[Coord, ...]] = {
-            node: topology.neighbors(node) for node in self._all_nodes
-        }
         self._contexts: Dict[Coord, Context] = {
             node: Context(node, self) for node in self._all_nodes
         }

@@ -85,7 +85,7 @@ def run_bv_two_hop_kernel(
     width, height = lattice.width, lattice.height
     half_w, half_h = width // 2, height // 2
     nbr_lists = lattice.nbr_idx.tolist()
-    offsets = metric.offsets(rr)
+    offsets = lattice.offsets  # nbr_idx column order
     coords = lattice.coords_all
     crash_list = crash_rounds.tolist()
     correct_list = correct.tolist()

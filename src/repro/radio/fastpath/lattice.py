@@ -1,18 +1,18 @@
 """Dense array geometry for a torus: flat indices, ball stencils, slots.
 
 The kernels never touch coordinate tuples in their hot loops.  A
-:class:`Lattice` flattens the torus once -- node ``(x, y)`` becomes flat
-index ``x * height + y``, which preserves the engine's canonical sorted
-node order -- and precomputes:
+:class:`Lattice` is the numpy form of the torus's shared
+:class:`~repro.grid.stencil.TorusStencil`, which defines the flat index
+(node ``(x, y)`` is ``x * height + y``, preserving the engine's
+canonical sorted node order) and the ball order.  It precomputes:
 
-- the radius-``r`` ball *stencil*: the metric's offset list split into
-  ``dx`` / ``dy`` component arrays.  :meth:`balls_of` applies the
-  stencil to any batch of transmitters on the fly (two adds, two mods,
-  one fused flat-index computation), so delivery needs no per-node
-  table.  On small tori -- where the ``(N, K)`` int64 ``nbr_idx`` table
-  fits :data:`_TABLE_MAX_ENTRIES` -- :meth:`balls_of` materializes the
-  table once and gathers from it instead (a plain fancy-index is ~25%
-  faster than the stencil arithmetic); above the cap the stencil avoids
+- the radius-``r`` ball *stencil*: the stencil's per-axis tables as
+  ``(width, K)`` / ``(height, K)`` arrays.  :meth:`balls_of` applies
+  them to any batch of transmitters on the fly (two row gathers and one
+  add), so delivery needs no per-node table.  On small tori -- where
+  the ``(N, K)`` int64 ``nbr_idx`` table fits
+  :data:`_TABLE_MAX_ENTRIES` -- :meth:`balls_of` materializes the table
+  once and gathers from it instead; above the cap the stencil avoids
   the table's O(N*K) footprint entirely (192 MB at torus side 1000 with
   ``r=2``, where peak kernel RSS is the whole budget);
 - the TDMA slot structure, built by a vectorized twin of
@@ -36,9 +36,9 @@ from repro.grid.torus import Torus
 from repro.radio.fastpath.compat import require_numpy
 
 #: largest ``N * K`` for which :meth:`Lattice.balls_of` gathers from the
-#: materialized neighbor table (64 MB of int64) instead of applying the
-#: stencil arithmetic; side 200 at r=2 linf is 1M entries (well under),
-#: side 1000 is 25M (well over).
+#: materialized neighbor table (64 MB of int64) instead of from the
+#: stencil's per-axis tables; side 200 at r=2 linf is 1M entries (well
+#: under), side 1000 is 25M (well over).
 _TABLE_MAX_ENTRIES = 8_000_000
 
 
@@ -49,6 +49,9 @@ class Lattice:
     ----------
     width / height / num_nodes / r / ball_size:
         Torus shape, radius, and neighborhood population ``K``.
+    offsets:
+        The stencil's ``K`` ball offsets: the column order of
+        :attr:`nbr_idx` and :meth:`balls_of`.
     slot_groups:
         One sorted flat-index array per TDMA slot, in slot order --
         exactly :func:`~repro.grid.tdma.make_schedule`'s frame.
@@ -71,17 +74,18 @@ class Lattice:
         self.num_nodes = topology.num_nodes
         w, h, n = self.width, self.height, self.num_nodes
 
-        offsets = self.metric.offsets(self.r)
-        self.ball_size = len(offsets)
-        xs = np.repeat(np.arange(w, dtype=np.int64), h)
-        ys = np.tile(np.arange(h, dtype=np.int64), w)
+        stencil = topology.ball_stencil(self.r, self.metric)
+        self._stencil = stencil
+        self.offsets = stencil.offsets
+        self.ball_size = len(self.offsets)
+        # per-flat-index axis coordinates (the stencil's flat order)
+        xs, ys = np.divmod(np.arange(n, dtype=np.int64), h)
         self.xs = xs
         self.ys = ys
-        # ball stencil: offset components, applied on the fly in
-        # balls_of() (offset order of metric.offsets(r), which is also
-        # Torus.neighbors order)
-        self._off_dx = np.asarray([dx for dx, _ in offsets], dtype=np.int64)
-        self._off_dy = np.asarray([dy for _, dy in offsets], dtype=np.int64)
+        # the stencil's per-axis ball tables: row x of _x_flat plus row
+        # y of _y_wrap is the flat ball of (x, y), in stencil ball order
+        self._x_flat = np.asarray(stencil.x_flat, dtype=np.int64)
+        self._y_wrap = np.asarray(stencil.y_wrap, dtype=np.int64)
         self._nbr_idx = None  # built lazily; see nbr_idx
         self._use_table = n * self.ball_size <= _TABLE_MAX_ENTRIES
 
@@ -110,13 +114,12 @@ class Lattice:
     # -- index mapping -----------------------------------------------------
 
     def flat(self, node: Coord) -> int:
-        """Flat index of a canonical coordinate."""
-        x, y = self.topology.canonical(node)
-        return x * self.height + y
+        """Flat index of a coordinate."""
+        return self._stencil.flat(node)
 
     def coord(self, idx: int) -> Coord:
         """Canonical coordinate of a flat index."""
-        return (int(idx) // self.height, int(idx) % self.height)
+        return self._stencil.coord(int(idx))
 
     def coords(self, idxs) -> List[Coord]:
         """Canonical coordinates for an iterable of flat indices."""
@@ -144,15 +147,10 @@ class Lattice:
         :meth:`balls_of` and never materialize O(N*K) memory.
         """
         if self._nbr_idx is None:
-            np = require_numpy()
-            n = self.num_nodes
-            nbr = np.empty((n, self.ball_size), dtype=np.int64)
-            w, h = self.width, self.height
-            for j in range(self.ball_size):
-                dx = int(self._off_dx[j])
-                dy = int(self._off_dy[j])
-                nbr[:, j] = ((self.xs + dx) % w) * h + ((self.ys + dy) % h)
-            self._nbr_idx = nbr
+            # (width, 1, K) + (1, height, K): entry [x, y] is the ball of
+            # flat index x * height + y, so the reshape is in flat order
+            nbr = self._x_flat[:, None, :] + self._y_wrap[None, :, :]
+            self._nbr_idx = nbr.reshape(self.num_nodes, self.ball_size)
         return self._nbr_idx
 
     def balls_of(self, idxs):
@@ -165,17 +163,13 @@ class Lattice:
         """
         if self._use_table:
             return self.nbr_idx[idxs]
-        x = self.xs[idxs][:, None] + self._off_dx
-        y = self.ys[idxs][:, None] + self._off_dy
-        return (x % self.width) * self.height + (y % self.height)
+        return self._x_flat[self.xs[idxs]] + self._y_wrap[self.ys[idxs]]
 
     def ball_of(self, idx: int):
         """``(K,)`` receiver flat indices for one transmitter."""
         if self._use_table:
             return self.nbr_idx[idx]
-        x = self.xs[idx] + self._off_dx
-        y = self.ys[idx] + self._off_dy
-        return (x % self.width) * self.height + (y % self.height)
+        return self._x_flat[self.xs[idx]] + self._y_wrap[self.ys[idx]]
 
     # -- derived fields ----------------------------------------------------
 

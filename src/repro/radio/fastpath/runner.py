@@ -190,16 +190,13 @@ def run_fastpath_broadcast(
     lattice = get_lattice(scenario.topology)
     n = lattice.num_nodes
 
-    canon = scenario.topology.canonical
-    height = lattice.height
+    flat = lattice.flat
     correct_mask = np.ones(n, dtype=bool)
     for node in sorted(scenario.faulty_nodes):
-        x, y = canon(node)
-        correct_mask[x * height + y] = False
+        correct_mask[flat(node)] = False
     crash_rounds = np.full(n, _NEVER, dtype=np.int64)
     for node, rnd in scenario.crash_round.items():
-        x, y = canon(node)
-        crash_rounds[x * height + y] = rnd
+        crash_rounds[flat(node)] = rnd
     source_idx = lattice.flat(scenario.source)
 
     trackers_by_source: Dict[Coord, SourceTracker] = {}

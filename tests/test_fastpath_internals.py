@@ -129,9 +129,21 @@ def test_stencil_matches_neighbor_table(w, h, r, metric):
 
     lattice = Lattice(Torus(w, h, r, metric=metric))
     idxs = np.arange(lattice.num_nodes)
-    assert (lattice.balls_of(idxs) == lattice.nbr_idx[idxs]).all()
+    # per-point oracle, independent of the shared stencil tables
+    want = np.array(
+        [
+            [((x + dx) % w) * h + (y + dy) % h for dx, dy in lattice.offsets]
+            for x in range(w)
+            for y in range(h)
+        ]
+    )
+    assert (lattice.nbr_idx == want).all()
+    assert (lattice.balls_of(idxs) == want).all()
+    # the on-the-fly branch large tori take (no table) agrees too
+    lattice._use_table = False
+    assert (lattice.balls_of(idxs) == want).all()
     for i in (0, lattice.num_nodes // 2, lattice.num_nodes - 1):
-        assert (lattice.ball_of(i) == lattice.nbr_idx[i]).all()
+        assert (lattice.ball_of(i) == want[i]).all()
         # and the stencil order is the topology's neighbor order
         assert lattice.coords(lattice.ball_of(i)) == [
             lattice.topology.canonical(nb)

@@ -1,5 +1,7 @@
 """Tests for repro.faults.placement (the locally bounded adversary)."""
 
+import hashlib
+import json
 import random
 
 import pytest
@@ -7,6 +9,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.errors import InvalidPlacementError
+from repro.faults.constructions import (
+    torus_byzantine_strip,
+    torus_crash_partition,
+)
 from repro.faults.placement import (
     fault_counts_per_nbd,
     greedy_random_placement,
@@ -15,7 +21,10 @@ from repro.faults.placement import (
     trim_to_budget,
     validate_placement,
 )
+from repro.faults.random_faults import random_bounded_placement
+from repro.grid.bounded import BoundedGrid
 from repro.grid.torus import Torus
+from tests.test_geometry_balls import _oracle_closed_ball
 
 coords = st.tuples(
     st.integers(min_value=-8, max_value=8),
@@ -165,3 +174,211 @@ class TestGreedyRandom:
             list(t.nodes()), 2, 1, topology=t, rng=random.Random(2)
         )
         assert is_valid_placement(placed, 2, 1, topology=t)
+
+
+# -- per-point oracle ------------------------------------------------------
+#
+# The placement functions count over a torus through its shared ball
+# stencil (flat indices into a flat list).  The oracles below are the
+# loops they replaced, over the per-point ball enumeration
+# (``_oracle_closed_ball``) with counts in a coordinate dict.  The
+# stencil path must agree with them exactly -- same sets, same RNG
+# draws, same set iteration order.
+
+
+def _oracle_canonical(f, topology):
+    return topology.canonical(f) if topology is not None else (f[0], f[1])
+
+
+def _oracle_counts(faulty, r, metric="linf", topology=None):
+    counts, seen = {}, set()
+    for f in sorted(faulty):
+        cf = _oracle_canonical(f, topology)
+        if cf in seen:
+            continue
+        seen.add(cf)
+        for c in _oracle_closed_ball(metric, cf, r, topology):
+            counts[c] = counts.get(c, 0) + 1
+    return counts
+
+
+def _oracle_trim(faulty, t, r, metric="linf", topology=None, rng=None):
+    """Returns ``(trimmed, tie_breaks)``: the count of rng draws made
+    among two or more equally ranked faults."""
+    current = {_oracle_canonical(f, topology) for f in faulty}
+    tie_breaks = 0
+    while True:
+        counts = _oracle_counts(current, r, metric, topology)
+        violating = {c for c, n in counts.items() if n > t}
+        if not violating:
+            return current, tie_breaks
+
+        def score(f):
+            ball = _oracle_closed_ball(metric, f, r, topology)
+            return sum(1 for c in ball if c in violating)
+
+        ranked = sorted(current, key=lambda f: (-score(f), f))
+        if rng is not None:
+            top = score(ranked[0])
+            ties = [f for f in ranked if score(f) == top]
+            tie_breaks += len(ties) > 1
+            current.discard(rng.choice(ties))
+        else:
+            current.discard(ranked[0])
+
+
+def _oracle_greedy(candidates, t, r, metric, topology, rng, target_count=None):
+    order = list(candidates)
+    rng.shuffle(order)
+    counts, chosen = {}, set()
+    for cand in order:
+        node = _oracle_canonical(cand, topology)
+        if node in chosen:
+            continue
+        ball = _oracle_closed_ball(metric, node, r, topology)
+        if any(counts.get(c, 0) + 1 > t for c in ball):
+            continue
+        chosen.add(node)
+        for c in ball:
+            counts[c] = counts.get(c, 0) + 1
+        if target_count is not None and len(chosen) >= target_count:
+            break
+    return chosen
+
+
+#: torus shapes per radius: square, non-square, and a side of exactly 2r+1
+def _tori(r, metric):
+    k = 2 * r + 1
+    return [
+        Torus.square(4 * r + 3, r, metric),
+        Torus(k + 3, 4 * r + 5, r, metric),
+        Torus(k, k + 2, r, metric),
+    ]
+
+
+METRICS = ["linf", "l1", "l2"]
+
+
+class TestStencilParity:
+    @pytest.mark.parametrize("metric", METRICS)
+    @pytest.mark.parametrize("r", [1, 2])
+    @pytest.mark.parametrize("target_count", [None, 5])
+    def test_greedy_matches_oracle(self, metric, r, target_count):
+        for torus in _tori(r, metric):
+            nodes = sorted(torus.nodes())
+            for t in (0, 1, 3, 6):
+                for seed in range(3):
+                    got = greedy_random_placement(
+                        nodes, t, r, metric, torus, random.Random(seed),
+                        target_count=target_count,
+                    )
+                    want = _oracle_greedy(
+                        nodes, t, r, metric, torus, random.Random(seed),
+                        target_count=target_count,
+                    )
+                    assert got == want
+                    # same insertion sequence, hence same set order
+                    assert list(got) == list(want)
+
+    @pytest.mark.parametrize("metric", METRICS)
+    def test_greedy_duplicate_and_wrapped_candidates(self, metric):
+        torus = Torus(7, 9, 1, metric)
+        nodes = sorted(torus.nodes())
+        # every node three times: as itself, repeated, and one lap out
+        candidates = nodes + nodes[::2] + [(x - 7, y + 9) for x, y in nodes]
+        for seed in range(5):
+            got = greedy_random_placement(
+                candidates, 2, 1, metric, torus, random.Random(seed)
+            )
+            want = _oracle_greedy(
+                candidates, 2, 1, metric, torus, random.Random(seed)
+            )
+            assert list(got) == list(want)
+
+    def test_greedy_off_torus_matches_oracle(self):
+        grid = BoundedGrid(9, 7, 2)
+        candidates = [(x, y) for x in range(-2, 11) for y in range(-1, 8)]
+        for topology in (grid, None):
+            got = greedy_random_placement(
+                candidates, 3, 2, "linf", topology, random.Random(4)
+            )
+            want = _oracle_greedy(
+                candidates, 3, 2, "linf", topology, random.Random(4)
+            )
+            assert list(got) == list(want)
+
+    @pytest.mark.parametrize("metric", METRICS)
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    def test_fault_counts_match_oracle(self, metric, r):
+        for torus in _tori(r, metric):
+            faults = random_bounded_placement(
+                torus, 2 * r, rng=random.Random(r)
+            )
+            # non-canonical aliases of the same faults count once
+            aliased = list(faults) + [
+                (x + torus.width, y - torus.height) for x, y in faults
+            ]
+            want = _oracle_counts(faults, r, metric, torus)
+            assert fault_counts_per_nbd(aliased, r, metric, torus) == want
+        grid = BoundedGrid(8, 8, r, metric)
+        faults = {(0, 0), (7, 7), (3, 4), (4, 4), (0, 5)}
+        got = fault_counts_per_nbd(faults, r, metric, grid)
+        assert list(got.items()) == list(
+            _oracle_counts(faults, r, metric, grid).items()
+        )
+
+    @pytest.mark.parametrize(
+        "construction", [torus_crash_partition, torus_byzantine_strip]
+    )
+    @pytest.mark.parametrize("r", [1, 2])
+    def test_trim_matches_oracle_on_strip(self, construction, r):
+        torus = Torus.square(6 * r + 5, r)
+        faults = construction(torus)
+        t = r  # well under the strip's density: the trim really trims
+        tie_breaks = 0
+        for seed in range(10):
+            rng_got, rng_want = random.Random(seed), random.Random(seed)
+            got = trim_to_budget(faults, t, r, topology=torus, rng=rng_got)
+            want, ties = _oracle_trim(
+                faults, t, r, topology=torus, rng=rng_want
+            )
+            tie_breaks += ties
+            assert len(got) < len(faults)
+            assert list(got) == list(want)
+            # same number of draws: the generators stay in lockstep
+            assert rng_got.random() == rng_want.random()
+        assert tie_breaks > 0  # the rng really broke ties
+
+    def test_trim_without_rng_matches_oracle(self):
+        torus = Torus(9, 13, 1, "l1")
+        faults = torus_crash_partition(torus)
+        got = trim_to_budget(faults, 1, 1, "l1", torus)
+        want, _ = _oracle_trim(faults, 1, 1, "l1", torus)
+        assert list(got) == list(want)
+
+
+class TestGoldenPlacements:
+    """``sha256(json(sorted(random_bounded_placement(...))))`` pinned as
+    literals, so a change in RNG draw order or candidate order fails
+    here by name (row digests elsewhere would only say "different")."""
+
+    GOLDEN = {
+        (13, 3, 0): "78036687636a6bf008be09a295e9d4a4dafaf5b7277d8deb90f7d047777d92aa",
+        (13, 3, 1): "28cfadccd3798d773350dfaa82f172788e74b93c7af8bf7419f27ec20863d891",
+        (13, 3, 2): "045881576f5b705bd41f3e07786a90dc419172924526ecaa857290d06b1806b2",
+        (13, 7, 0): "20ed38af9e32355a9ec07f6204235eebc1140131d1c338ded2c0bd09752080c3",
+        (13, 7, 1): "57aab2cf61524d95cf64224529059bc80f1bc90a7c71fb705b1724c6a84eb27c",
+        (13, 7, 2): "80229774b705ee00ec7af1e2689339c252d91ad6f8f13d7849f9d4fa5e52aea3",
+        (13, 11, 0): "c9ddd9695abedc3889b38597d03e5175369b4997ce35929f55fb64d0a66c192d",
+        (13, 11, 1): "42157c9fe2cfbe493bbd54201e0b810988c2976813ef169bb7c15f3257bb7171",
+        (13, 11, 2): "9ed76ba3b96871c7bdc94e7655b80177202bc2e4159cf2e905c52048d0753fb5",
+        (100, 7, 0): "929f8dbd760a87362eae9e0e3eb88f0b9f390bd36eb3945eb8443a78e9ef71cf",
+    }
+
+    @pytest.mark.parametrize("side,t,seed", sorted(GOLDEN))
+    def test_placement_digest(self, side, t, seed):
+        faults = random_bounded_placement(
+            Torus.square(side, 2), t, rng=random.Random(seed)
+        )
+        blob = json.dumps(sorted(faults)).encode()
+        assert hashlib.sha256(blob).hexdigest() == self.GOLDEN[(side, t, seed)]

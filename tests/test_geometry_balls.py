@@ -8,12 +8,15 @@ from repro.geometry.balls import (
     ball_offsets,
     ball_points,
     ball_size,
+    closed_ball_points,
     half_ball_points,
     l1_ball_size,
     l2_ball_size,
     linf_ball_size,
 )
-from repro.geometry.metrics import L1, L2, LINF
+from repro.geometry.metrics import L1, L2, LINF, get_metric
+from repro.grid.stencil import torus_stencil
+from repro.grid.torus import Torus
 
 radii = st.integers(min_value=0, max_value=8)
 
@@ -91,3 +94,85 @@ class TestHalfBall:
         import math
 
         assert abs(len(pts) - math.pi * r * r / 2) < 3 * r
+
+
+def _oracle_closed_ball(metric, center, r, topology=None):
+    """The per-point enumeration the torus stencil replaced: shift by
+    every offset, append the center, canonicalize and filter point by
+    point.  Also the oracle of ``tests/test_faults_placement.py``."""
+    cx, cy = center
+    pts = [(cx + dx, cy + dy) for dx, dy in get_metric(metric).offsets(r)]
+    pts.append((cx, cy))
+    if topology is None:
+        return pts
+    return [
+        q for q in (topology.canonical(p) for p in pts) if topology.contains(q)
+    ]
+
+
+def _parity_tori(r, metric):
+    k = 2 * r + 1
+    return [
+        Torus.square(4 * r + 3, r, metric),  # square
+        Torus(k + 2, 3 * k, r, metric),  # non-square
+        Torus(k, k, r, metric),  # side of exactly 2r + 1
+        Torus(k, k + 4, r, metric),
+    ]
+
+
+class TestTorusStencil:
+    @pytest.mark.parametrize("metric", ["linf", "l1", "l2"])
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    def test_closed_ball_matches_oracle_in_order(self, metric, r):
+        for torus in _parity_tori(r, metric):
+            w, h = torus.width, torus.height
+            centers = list(torus.nodes()) + [
+                (-1, -1),
+                (-w - 3, 2),
+                (w, h),
+                (2 * w + 1, -3 * h - 2),
+            ]
+            for c in centers:
+                assert closed_ball_points(
+                    metric, c, r, torus
+                ) == _oracle_closed_ball(metric, c, r, torus), (torus, c)
+
+    @pytest.mark.parametrize("metric", ["linf", "l1", "l2"])
+    def test_other_radius_on_torus_matches_oracle(self, metric):
+        # the budget may count a radius other than the torus's own
+        torus = Torus.square(11, 1, metric)
+        for c in [(0, 0), (10, 10), (-4, 17)]:
+            assert closed_ball_points(
+                metric, c, 3, torus
+            ) == _oracle_closed_ball(metric, c, 3, torus)
+
+    @pytest.mark.parametrize("metric", ["linf", "l1", "l2"])
+    @pytest.mark.parametrize("r", [1, 2])
+    def test_neighbors_and_neighbor_map(self, metric, r):
+        for torus in _parity_tori(r, metric):
+            stencil = torus_stencil(torus.width, torus.height, r, metric)
+            nmap = torus.neighbor_map()
+            assert list(nmap) == sorted(torus.nodes())
+            for node, nbrs in nmap.items():
+                assert nbrs == tuple(
+                    _oracle_closed_ball(metric, node, r, torus)[:-1]
+                )
+                assert torus.neighbors(node) == nbrs
+                # flat balls are the same balls, as flat indices
+                assert stencil.flat_ball(node) == [
+                    stencil.flat(p) for p in nbrs + (node,)
+                ]
+
+    def test_flat_index_is_sorted_node_order(self):
+        stencil = torus_stencil(5, 7, 1, "linf")
+        nodes = sorted(Torus(5, 7, 1).nodes())
+        assert [stencil.flat(p) for p in nodes] == list(range(35))
+        assert [stencil.coord(i) for i in range(35)] == nodes
+        assert stencil.flat((-1, 8)) == stencil.flat((4, 1))
+
+    def test_stencil_is_shared_and_immutable(self):
+        a = Torus.square(9, 2).ball_stencil(2, "linf")
+        b = Torus.square(9, 2).ball_stencil(2, "chebyshev")
+        assert a is b
+        assert isinstance(a.x_wrap, tuple) and isinstance(a.x_wrap[0], tuple)
+        assert Torus.square(9, 2).ball_stencil(2, "l1") is not a

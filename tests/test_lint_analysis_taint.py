@@ -3,7 +3,8 @@
 The acceptance fixture is the issue's own: an unseeded
 ``random.random()`` *two calls upstream* of ``run_trial`` must be
 flagged, with the witness call path in the message.  The rest pins the
-source catalog (time, urandom, uuid, numpy.random, set iteration, ``id()``), the
+source catalog (time, urandom, uuid, numpy.random, set iteration, ``id()``,
+``hash()`` except a discarded hashability probe), the
 ``derive_seed`` barrier, and the sink catalog (``Engine.run``,
 ``build_scenario``, adversary move kernels).
 """
@@ -113,6 +114,42 @@ class TestSourceCatalog:
             tmp_path, "return [x for x in sorted({1, 2, 3})]"
         )
         assert findings(report) == []
+
+    def test_hash_value_reaching_sink_is_source(self, tmp_path):
+        report = self._lint_source_in_sink(
+            tmp_path, "h = hash(spec)\n    return {'h': h}"
+        )
+        found = findings(report)
+        assert len(found) == 1
+        assert "hash()" in found[0].message
+
+    def test_discarded_hash_probe_is_clean(self, tmp_path):
+        """``hash(v)`` as a bare statement only probes hashability (it
+        raises or not); no identity-dependent value escapes."""
+        report = run_lint(
+            tmp_path,
+            {
+                "repro/exec/specs.py": (
+                    "from repro.util.probe import hashable\n"
+                    "def run_trial(spec, seed):\n"
+                    "    return {'ok': hashable(spec)}\n"
+                ),
+                "repro/util/probe.py": (
+                    "def hashable(value):\n"
+                    "    try:\n"
+                    "        hash(value)\n"
+                    "    except TypeError:\n"
+                    "        return False\n"
+                    "    return True\n"
+                ),
+            },
+            RULE,
+        )
+        assert findings(report) == []
+
+    def test_discarded_id_is_still_a_source(self, tmp_path):
+        report = self._lint_source_in_sink(tmp_path, "id(spec)\n    return 0")
+        assert len(findings(report)) == 1
 
     def test_seeded_rng_is_clean(self, tmp_path):
         report = self._lint_source_in_sink(

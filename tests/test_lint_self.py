@@ -24,6 +24,21 @@ def test_shipped_tree_is_clean():
     assert report.files_checked > 50
 
 
+def test_shipped_tree_is_clean_deep():
+    """The gating deep passes (nondet-taint, fork-safety,
+    cache-key-soundness) report no error on the shipped tree, against
+    the committed baseline -- the same check as ``repro lint src/repro
+    --deep --baseline lint-baseline.json``."""
+    report = lint_paths(
+        [SRC_REPRO],
+        deep=True,
+        baseline_path=os.path.join(REPO_ROOT, "lint-baseline.json"),
+    )
+    assert report.errors == [], "\n".join(f.format() for f in report.errors)
+    assert report.parse_failures == []
+    assert report.exit_code == 0
+
+
 def test_cli_lint_clean_exit_zero(capsys):
     assert main(["lint", SRC_REPRO]) == 0
     out = capsys.readouterr().out
