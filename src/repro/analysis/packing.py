@@ -23,6 +23,8 @@ thresholds are exact; an approximate packer would blur them.
 
 from __future__ import annotations
 
+from collections import Counter
+from itertools import chain
 from typing import FrozenSet, Hashable, Iterable, List, Optional, Sequence
 
 from repro.errors import ReproError
@@ -168,6 +170,26 @@ def max_set_packing(
     return len(find_set_packing(sets, target=target, budget=budget))
 
 
+def _hit_by_fewer_than(sets: Sequence[FrozenSet[Hashable]], k: int) -> bool:
+    """Whether a greedy pick of at most ``k - 1`` elements hits every
+    non-empty set.
+
+    ``True`` proves that no ``k`` pairwise-disjoint sets exist: each of
+    them would need its own hitting element.  ``False`` proves nothing
+    (the greedy pick is not a minimum hitting set), so the caller falls
+    through to the exact solver.  Ties in the pick are free: whichever
+    hitting set is found, the proof is the same.
+    """
+    remaining = [s for s in sets if s]
+    for _ in range(k - 1):
+        if not remaining:
+            return True
+        counts = Counter(chain.from_iterable(remaining))
+        pick = max(counts, key=counts.__getitem__)
+        remaining = [s for s in remaining if pick not in s]
+    return not remaining
+
+
 def has_packing_of_size(
     sets: Iterable[Iterable[Hashable]],
     k: int,
@@ -176,8 +198,17 @@ def has_packing_of_size(
     """Whether ``k`` pairwise-disjoint sets can be chosen.
 
     Convenience predicate used by the protocol commit rules; ``k <= 0`` is
-    vacuously ``True``.
+    vacuously ``True``.  It first tries to certify ``False`` with a greedy
+    hitting set of at most ``k - 1`` elements -- under Byzantine
+    fabricators nearly every failing commit check is settled this way --
+    and only then asks :func:`find_set_packing`, so every ``True`` still
+    comes from the exact solver.  A certified ``False`` can also answer
+    an input on which the exact search would have exceeded its budget;
+    the commit rules treat both outcomes as "not yet".
     """
     if k <= 0:
         return True
-    return len(find_set_packing(sets, target=k, budget=budget)) >= k
+    family = [frozenset(s) for s in sets]
+    if _hit_by_fewer_than(family, k):
+        return False
+    return len(find_set_packing(family, target=k, budget=budget)) >= k

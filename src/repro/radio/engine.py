@@ -26,9 +26,11 @@ slot) none, which is exactly the paper's crash-stop semantics.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from typing import (
     Any,
+    Deque,
     Dict,
     List,
     Mapping,
@@ -198,6 +200,13 @@ class Engine:
                     f"crash round for {node} must be >= 0, got {rnd}"
                 )
             self.crash_round[topology.canonical(node)] = int(rnd)
+        #: crash schedule in round order, drained into ``_dead`` as the
+        #: rounds reach it
+        self._crash_schedule: Deque[Tuple[Coord, int]] = deque(
+            sorted(self.crash_round.items(), key=lambda item: item[1])
+        )
+        #: nodes crashed by the current round (``_is_crashed`` at it)
+        self._dead: Set[Coord] = set()
         self.max_rounds = max_rounds
         self.max_messages = max_messages
         self._on_limit = on_limit
@@ -243,6 +252,9 @@ class Engine:
         return self._contexts[self.topology.canonical(node)]
 
     def _is_crashed(self, node: Coord, at_round: int) -> bool:
+        """Whether ``node`` has crashed by ``at_round``.  The round loop
+        tests ``_dead`` instead; this serves ``_start``, the end-of-round
+        flush and the quiescence look-ahead."""
         rnd = self.crash_round.get(node)
         return rnd is not None and at_round >= rnd
 
@@ -301,8 +313,6 @@ class Engine:
     def _is_jammed(self, receiver: Coord) -> bool:
         """Whether a receiver is inside any active jammer's radius (or is
         itself jamming -- a transmitting radio cannot listen)."""
-        if not self._jammers_this_round:
-            return False
         if receiver in self._jammers_this_round:
             return True
         return any(
@@ -312,21 +322,28 @@ class Engine:
 
     def _transmit(self, node: Coord, slot: int) -> bool:
         """Drain ``node``'s outbox in its slot.  Returns False when the
-        message budget tripped."""
-        ctx = self._contexts[node]
-        outbox = ctx._outbox
+        message budget tripped; every on-air copy counts against it."""
+        outbox = self._contexts[node]._outbox
+        receivers = self._neighbors[node]
+        contexts = self._contexts
+        processes = self.processes
+        observers = self._observers
+        trace = self.trace
+        limit = self.max_messages
+        dead = self._dead
+        jammers = self._jammers_this_round
+        is_jammed = self._is_jammed
+        loss_rng = self._loss_rng
+        loss_rate = self.channel.loss_rate
         copies = self.channel.tx_copies
+        buffered = self.delivery == "end-of-round"
         prof = self._profiler
         while outbox:
-            if (
-                self.max_messages is not None
-                and self.trace.transmissions >= self.max_messages
-            ):
-                return False
             payload, claimed = outbox.popleft()
             sender = node if claimed is None else claimed
-            receivers = self._neighbors[node]
             for _copy in range(copies):
+                if limit is not None and trace.transmissions >= limit:
+                    return False
                 env = Envelope(
                     sender=sender,
                     payload=payload,
@@ -335,32 +352,29 @@ class Engine:
                     slot=slot,
                 )
                 self._seq += 1
-                self.trace.on_transmission(env, len(receivers))
-                for obs in self._observers:
+                trace.on_transmission(env, len(receivers))
+                for obs in observers:
                     obs.on_transmission(env, receivers)
-                survivors = []
-                for nb in receivers:
-                    if self._is_crashed(nb, self.round):
-                        continue
-                    if self._is_jammed(nb):
-                        continue
-                    if (
-                        self._loss_rng is not None
-                        and self._loss_rng.random() < self.channel.loss_rate
-                    ):
-                        continue
-                    survivors.append(nb)
-                if self.delivery == "end-of-round":
+                # dead, then jammed, then one loss draw: the RNG is drawn
+                # only for receivers that are alive and not jammed
+                survivors = [
+                    nb
+                    for nb in receivers
+                    if nb not in dead
+                    and not (jammers and is_jammed(nb))
+                    and (loss_rng is None or loss_rng.random() >= loss_rate)
+                ]
+                if buffered:
                     self._pending_deliveries.append((env, tuple(survivors)))
                     continue
                 t0 = prof.begin() if prof is not None else 0.0
                 for nb in survivors:
-                    for obs in self._observers:
+                    for obs in observers:
                         obs.on_delivery(nb, env)
-                    nb_ctx = self._contexts[nb]
+                    nb_ctx = contexts[nb]
                     if nb_ctx.halted:
                         continue
-                    self.processes[nb].on_receive(nb_ctx, env)
+                    processes[nb].on_receive(nb_ctx, env)
                 if prof is not None:
                     prof.end("deliver", t0)
         return True
@@ -402,6 +416,12 @@ class Engine:
         """Execute one TDMA frame.  Returns False if a message-budget stop
         occurred mid-frame."""
         self._jammers_this_round.clear()
+        dead = self._dead
+        crashes = self._crash_schedule
+        while crashes and crashes[0][1] <= self.round:
+            dead.add(crashes.popleft()[0])
+        contexts = self._contexts
+        processes = self.processes
         prof = self._profiler
         for obs in self._observers:
             obs.on_round_start(self.round)
@@ -412,21 +432,24 @@ class Engine:
                 prof.end("deliver", t0)
         t0 = prof.begin() if prof is not None else 0.0
         for node in self._all_nodes:
-            if self._is_crashed(node, self.round):
-                if self.crash_round.get(node) == self.round:
+            ctx = contexts[node]
+            if node in dead:
+                if self.crash_round[node] == self.round:
                     self._announce_crash(node, self.round)
-                    self._contexts[node]._outbox.clear()
+                    ctx._outbox.clear()
                 continue
-            ctx = self._contexts[node]
             if not ctx.halted:
-                self.processes[node].on_round(ctx)
+                processes[node].on_round(ctx)
         if prof is not None:
             prof.end("round_hooks", t0)
             t0 = prof.begin()
         for slot, group in enumerate(self.schedule.slots):
             for node in group:
-                if self._is_crashed(node, self.round):
-                    self._contexts[node]._outbox.clear()
+                outbox = contexts[node]._outbox
+                if not outbox:
+                    continue
+                if node in dead:
+                    outbox.clear()
                     continue
                 if not self._transmit(node, slot):
                     if prof is not None:
@@ -437,11 +460,11 @@ class Engine:
             prof.end("transmit", t0)
             t0 = prof.begin()
         for node in self._all_nodes:
-            if self._is_crashed(node, self.round):
+            if node in dead:
                 continue
-            ctx = self._contexts[node]
+            ctx = contexts[node]
             if not ctx.halted:
-                self.processes[node].on_round_end(ctx)
+                processes[node].on_round_end(ctx)
         if prof is not None:
             prof.end("round_end_hooks", t0)
         self._close_round()

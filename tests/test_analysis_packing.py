@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import repro.analysis.packing as packing_module
 from repro.analysis.packing import (
     PackingBudgetExceeded,
     find_set_packing,
@@ -38,6 +39,20 @@ small_sets = st.lists(
     max_size=8,
 )
 
+#: 1-2-element sets: the matching path (the two-hop commit rule's shape)
+pair_sets = st.lists(
+    st.frozensets(st.integers(min_value=0, max_value=9), min_size=1, max_size=2),
+    min_size=0,
+    max_size=10,
+)
+
+#: 1-4-element sets: the branch-and-bound path (the four-hop rule's shape)
+wide_sets = st.lists(
+    st.frozensets(st.integers(min_value=0, max_value=12), min_size=1, max_size=4),
+    min_size=0,
+    max_size=8,
+)
+
 
 class TestExactness:
     @given(small_sets)
@@ -48,6 +63,18 @@ class TestExactness:
     def test_target_consistency(self, sets, k):
         has = has_packing_of_size(sets, k)
         assert has == (brute_force_max_packing(sets) >= k)
+
+    @given(pair_sets, st.integers(min_value=1, max_value=5))
+    def test_predicate_exact_on_pairs(self, sets, k):
+        assert has_packing_of_size(sets, k) == (
+            brute_force_max_packing(sets) >= k
+        )
+
+    @given(wide_sets, st.integers(min_value=1, max_value=5))
+    def test_predicate_exact_on_wide_sets(self, sets, k):
+        assert has_packing_of_size(sets, k) == (
+            brute_force_max_packing(sets) >= k
+        )
 
     def test_empty(self):
         assert max_set_packing([]) == 0
@@ -95,6 +122,45 @@ class TestWitness:
     def test_zero_target(self):
         assert find_set_packing([{1}], target=0) == []
         assert has_packing_of_size([], 0)
+
+
+class TestHittingSetCertificate:
+    """``has_packing_of_size`` answers False from a hitting set of at
+    most ``k - 1`` elements when it finds one, and asks the exact solver
+    otherwise."""
+
+    def test_small_hitting_set_skips_the_solver(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the certificate should have answered")
+
+        monkeypatch.setattr(packing_module, "find_set_packing", refuse)
+        # {0, 4} hits every set, so no 3 of them are pairwise disjoint
+        sets = [{0, 1}, {0, 2}, {0, 3}, {4, 5}, {4, 6}, {0, 4}]
+        assert not has_packing_of_size(sets, 3)
+        assert not has_packing_of_size([], 1)
+
+    def test_triangle_falls_through_to_the_matcher(self, monkeypatch):
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return find_set_packing(*args, **kwargs)
+
+        monkeypatch.setattr(packing_module, "find_set_packing", spy)
+        # every two edges share a vertex, but no single vertex hits all
+        # three: the certificate needs 2 elements where k - 1 = 1
+        triangle = [{"a", "b"}, {"b", "c"}, {"a", "c"}]
+        assert not has_packing_of_size(triangle, 2)
+        assert len(calls) == 1
+        assert has_packing_of_size(triangle, 1)
+
+    def test_generator_input(self):
+        assert has_packing_of_size((frozenset({i}) for i in range(3)), 3)
+        assert not has_packing_of_size(
+            (s for s in [{1, 2}, {1, 3}, {1, 4}]), 2
+        )
+        triangle = [{"a", "b"}, {"b", "c"}, {"a", "c"}]
+        assert not has_packing_of_size((s for s in triangle), 2)
 
 
 class TestBudget:

@@ -2,16 +2,19 @@
 jamming, loss, and retransmission (repro.radio.channel / .resilience,
 repro.faults.channel_attacks)."""
 
+import hashlib
+
 import pytest
 
 from repro.errors import ConfigurationError, ProtocolViolationError, SpoofingError
-from repro.experiments.scenarios import recommended_torus
+from repro.experiments.scenarios import crash_broadcast_scenario, recommended_torus
 from repro.faults.channel_attacks import (
     NeighborFramer,
     RoundJammer,
     SourceImpersonator,
 )
 from repro.grid.torus import Torus
+from repro.obs import JsonlRecorder
 from repro.protocols.registry import correct_process_map
 from repro.radio.channel import PERFECT_CHANNEL, ChannelImperfections
 from repro.radio.engine import Engine
@@ -31,6 +34,12 @@ class Broadcaster(NodeProcess):
 
 def collector(log):
     return FunctionProcess(on_receive=lambda ctx, env: log.append(env))
+
+
+def jsonl_pin(recorder):
+    """``(sha256 of the JSONL, event count)`` of a recorded run."""
+    text = recorder.dumps()
+    return hashlib.sha256(text.encode("utf-8")).hexdigest(), len(recorder.events)
 
 
 class TestChannelConfig:
@@ -194,6 +203,43 @@ class TestJamming:
         eng.run()
         assert jammer.jams_effective == 2
 
+    def test_budgeted_jammers_golden_jsonl(self):
+        """Two budgeted jammers, one of which crashes mid-run, among
+        retransmitting crash-flood nodes with staggered crashes, on a
+        lossy channel.  The fastpath refuses jamming, so this pin is the
+        only guard of the reference engine's receiver filter order: a
+        jammed receiver never draws from the loss RNG."""
+        torus = Torus.square(7, 1)
+        jammers = [(3, 3), (5, 5)]
+        crash_round = {(1, 4): 0, (2, 5): 1, (5, 5): 2, (4, 1): 3}
+        correct = set(torus.nodes()) - set(jammers) - set(crash_round)
+        processes = {
+            node: RetransmittingProcess(proc, repeats=3)
+            for node, proc in correct_process_map(
+                torus, "crash-flood", 0, (0, 0), 1, correct
+            ).items()
+        }
+        for jammer in jammers:
+            processes[jammer] = RoundJammer()
+        recorder = JsonlRecorder(record_deliveries=True)
+        Engine(
+            torus,
+            processes,
+            crash_round=crash_round,
+            channel=ChannelImperfections(
+                allow_jamming=True,
+                max_jam_rounds_per_node=2,
+                loss_rate=0.2,
+                seed=5,
+            ),
+            max_rounds=40,
+            observers=(recorder,),
+        ).run()
+        assert jsonl_pin(recorder) == (
+            "07a714ca64be12fd2ec53713241f4d569f5f7e71139e28d4b697ada60d467a54",
+            896,
+        )
+
     def test_bounded_jamming_plus_retransmission_recovers(self):
         """Section X's positive claim: bounded collisions are beaten by
         retransmitting more times than the jam budget."""
@@ -247,6 +293,19 @@ class TestLossAndRetransmission:
 
         assert run(7) == run(7)
         assert run(7) != run(8)
+
+    def test_lossy_scenario_golden_jsonl(self):
+        """Pins which receivers draw from the loss RNG, and in what
+        order: live ones only, per copy, in neighbor order."""
+        sc = crash_broadcast_scenario(
+            r=1, t=1, placement="random", seed=11, channel="lossy"
+        )
+        recorder = JsonlRecorder(record_deliveries=True)
+        sc.run(observers=(recorder,))
+        assert jsonl_pin(recorder) == (
+            "a4488c3825c474aef92c92039e6751a53af384d903f0ed29547ec52ed61c6819",
+            1920,
+        )
 
     def test_tx_copies_multiply_transmissions(self):
         t = Torus.square(5, 1)

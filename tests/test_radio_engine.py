@@ -6,10 +6,15 @@ FIFO ordering, unforgeable sender identity, deterministic TDMA execution,
 and clean crash-stop semantics.
 """
 
+import hashlib
+
 import pytest
 
 from repro.errors import ConfigurationError, SimulationLimitError
 from repro.grid.torus import Torus
+from repro.obs import JsonlRecorder
+from repro.protocols.registry import correct_process_map
+from repro.radio.channel import ChannelImperfections
 from repro.radio.engine import Engine
 from repro.radio.node import Context, FunctionProcess, NodeProcess, SilentProcess
 
@@ -30,6 +35,21 @@ class Broadcaster(NodeProcess):
     def on_start(self, ctx):
         for p in self.payloads:
             ctx.broadcast(p)
+
+
+def recorded_flood(**engine_kwargs):
+    """A crash-flood run on a 7x7, r=1 torus recorded with deliveries:
+    ``(sha256 of the JSONL, event count)``.  The fastpath refuses the
+    engine options these pins cover, so no differential test guards
+    them."""
+    torus = Torus.square(7, 1)
+    processes = correct_process_map(
+        torus, "crash-flood", 0, (0, 0), 1, set(torus.nodes())
+    )
+    recorder = JsonlRecorder(record_deliveries=True)
+    Engine(torus, processes, observers=(recorder,), **engine_kwargs).run()
+    text = recorder.dumps()
+    return hashlib.sha256(text.encode("utf-8")).hexdigest(), len(recorder.events)
 
 
 class TestDelivery:
@@ -216,6 +236,26 @@ class TestLimits:
         assert res.hit_message_limit
         assert res.trace.transmissions == 10
 
+    @pytest.mark.parametrize("copies", [1, 3])
+    def test_message_limit_counts_every_copy(self, copies):
+        """Each on-air copy is a transmission, so the budget stops the
+        run mid-payload rather than after the payload's last copy."""
+        res = Engine(
+            Torus.square(7, 1),
+            {(0, 0): Broadcaster(list(range(5)))},
+            channel=ChannelImperfections(tx_copies=copies),
+            max_messages=4,
+        ).run()
+        assert res.hit_message_limit
+        assert res.trace.transmissions == 4
+
+    def test_message_limit_golden_jsonl(self):
+        """A one-copy budget stop mid-frame of round 0."""
+        assert recorded_flood(max_messages=12) == (
+            "ef5bba92452a80d5bc408027bc1c1bb10dfb24552baac4c2b829b6f8a1649f9e",
+            139,
+        )
+
     def test_bad_on_limit(self):
         with pytest.raises(ConfigurationError):
             Engine(Torus.square(5, 1), {}, on_limit="explode")
@@ -328,6 +368,15 @@ class TestEndOfRoundDelivery:
         res = Engine(t, procs, delivery="end-of-round").run()
         assert res.quiescent
         assert log == ["m"]
+
+    def test_golden_jsonl_with_staggered_crashes(self):
+        crash_round = {(2, 2): 0, (3, 1): 1, (1, 3): 2}
+        assert recorded_flood(
+            delivery="end-of-round", crash_round=crash_round
+        ) == (
+            "2add18c4f8179c1b2da5217029185daf102b2f746b4e4c77284cbfc966cbda58",
+            466,
+        )
 
 
 class TestConfiguration:
