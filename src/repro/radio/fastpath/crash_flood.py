@@ -1,50 +1,89 @@
-"""Fully vectorized crash-flood kernel.
+"""Event-time crash-flood kernel.
 
-Why this protocol collapses to array updates: under crash-stop faults
-every message on the air carries the source's value (only the true
-source sends ``SourceMsg``; everything else is a ``COMMITTED`` relay),
-so *every* delivered message commits any correct, uncommitted receiver.
-Per-node state is just two lattices -- ``committed`` (bool) and
-``pending`` (outbox depth: 2 for the source's SRC+COMMITTED burst, 1
-for a relay, 0 otherwise) -- and one TDMA slot is one gather/scatter
-over the on-the-fly ball stencil (:meth:`Lattice.balls_of`); the
-``committed`` flags live in a :class:`PackedBits` bitset.
+Why this protocol collapses to arithmetic on times: under crash-stop
+faults every message on the air carries the source's value (only the
+true source sends ``SourceMsg``; everything else is a ``COMMITTED``
+relay), so the *first* message a correct node hears commits it, and
+it then relays exactly once, in its own TDMA slot.  On the absolute
+slot clock ``tau = round * S + slot`` (``S`` slots per frame) that is
+a fixpoint over two arrays:
 
-Exactness relies on a schedule invariant the reference engine also
-depends on: nodes sharing a TDMA slot are >= 2r+1 apart, so their
-delivery balls are disjoint (under every metric, since L1/L2 >= Linf)
-and each receiver hears at most one transmitter per slot.  Firing a
-slot as one batch therefore preserves the reference engine's exact
-per-receiver message order, and a single forward pass over the slots
-reproduces the in-round commit cascade (a node committing in slot s
-relays in its own slot s' > s within the same frame; s' < s rolls to
-the next frame; s' == s is impossible because co-slotted nodes are out
-of each other's range).
+- ``heard[v]``: -1 for the source (it commits during ``on_start``);
+  for any other correct node the earliest ``fire`` in its ball; never
+  for faulty nodes (they run ``SilentProcess`` or crash, and correct
+  nodes never crash -- ``crash_round`` keys are a subset of the
+  faulty set);
+- ``fire[v]``: the first ``tau > heard[v]`` that falls in ``v``'s own
+  slot -- later in the same frame, else in the next one -- or never
+  when that is at or past the round cap ``max_rounds * S``.
 
-The slot loop is frontier-driven: instead of scanning every slot group
-for pending transmitters each round (O(N) per slot), freshly committed
-relays are bucketed into per-slot ready queues the moment they commit,
-so each round costs O(active transmitters), not O(N x slots).  Only
-correct nodes ever enter a queue (faulty nodes run ``SilentProcess``
-in the reference engine and never relay; the designated source is
-validated correct), so no crash check is needed on transmitters.
+A frontier relaxation (:func:`_commit_times`) computes the least
+fixpoint, which is the run: a node committing in slot ``s`` relays in
+its own slot ``s' > s`` of the same frame or rolls to the next, and
+``s' == s`` is impossible because nodes sharing a slot are >= 2r+1
+apart.  The same invariant makes co-slotted delivery balls disjoint
+(under every metric, since L1/L2 >= Linf), so each receiver hears at
+most one transmitter per slot and no two fires ever tie for it.
 
-The message budget keeps the reference semantics: the check fires
-*before* each send, so a slot that fits entirely within the remaining
-budget is fired as one batch, and only the slot that would overrun it
-falls back to a per-message scalar loop (in node order) to stop at
-exactly the same message the reference engine stops at.
+Every statistic is then read off the fires in ``(tau, node)`` order --
+the reference engine's transmission order.  The run is causal, so each
+safety valve is a prefix cut of that order: the round cap drops the
+fires at or past ``max_rounds * S``, and a message budget keeps the
+first ``max_messages`` messages (the source's two come first) and
+stops in the round of the next one, exactly where the reference
+engine's pre-send check stops.  Only the nodes first hearing in that
+trip slot need a look: each commits iff its (unique) transmitter's
+message went out.  The per-round counters then take one ball gather
+per executed round (:meth:`Lattice.balls_of`), never an ``(N, K)``
+block at once.
 """
 
 from __future__ import annotations
 
-from itertools import repeat
 from typing import List, Optional
 
-from repro.radio.fastpath.bitset import PackedBits
 from repro.radio.fastpath.compat import require_numpy
 from repro.radio.fastpath.lattice import Lattice
 from repro.radio.fastpath.stats import KernelStats, SourceTracker
+
+#: "never" on the slot clock: above every reachable time
+_NEVER = 2**62
+
+
+def _commit_times(lattice: Lattice, source_idx: int, correct, cap: int):
+    """``(heard, fire)`` slot times per node (see the module docstring).
+
+    Frontier relaxation: only nodes in the balls of the frontier (the
+    nodes whose ``fire`` just dropped) can hear sooner.  The ones that
+    do -- a frontier fire before their ``heard`` -- are marked in one
+    reusable mask and take their ball minimum, and the ones whose
+    ``fire`` moves form the next frontier.
+    """
+    np = require_numpy()
+    n = lattice.num_nodes
+    num_slots = len(lattice.slot_groups)
+    slot_of = lattice.slot_of
+    heard = np.full(n, _NEVER, dtype=np.int64)
+    fire = np.full(n, _NEVER, dtype=np.int64)
+    heard[source_idx] = -1
+    fire[source_idx] = slot_of[source_idx]  # round 0: always < cap
+    touched = np.zeros(n, dtype=bool)
+    frontier = np.asarray([source_idx], dtype=np.int64)
+    while frontier.size:
+        balls = lattice.balls_of(frontier)
+        touched[balls[fire[frontier][:, None] < heard[balls]]] = True
+        cand = np.flatnonzero(touched)
+        touched[cand] = False
+        cand = cand[correct[cand]]
+        best = fire[lattice.balls_of(cand)].min(axis=1)
+        heard[cand] = best
+        # first own-slot time strictly after the hearing time
+        nxt = best + 1 + (slot_of[cand] - best - 1) % num_slots
+        nxt[nxt >= cap] = _NEVER
+        moved = nxt < fire[cand]
+        fire[cand] = nxt
+        frontier = cand[moved]
+    return heard, fire
 
 
 def run_crash_flood_kernel(
@@ -73,189 +112,85 @@ def run_crash_flood_kernel(
     """
     np = require_numpy()
     stats = KernelStats()
-    K = lattice.ball_size
+    n = lattice.num_nodes
     coords = lattice.coords_all
-    slot_of = lattice.slot_of
     num_slots = len(lattice.slot_groups)
-
-    committed = PackedBits(lattice.num_nodes)
-    pending = np.zeros(lattice.num_nodes, dtype=np.int64)
-    tx_arr = np.zeros(lattice.num_nodes, dtype=np.int64)
-    rx_arr = np.zeros(lattice.num_nodes, dtype=np.int64)
-
-    def record_commits(idxs, round_: int) -> None:
-        """Commit the nodes in ``idxs`` with observation round ``round_``."""
-        committed.set_true(idxs)
-        lst = idxs.tolist()
-        stats.commit_round.update(
-            zip([coords[i] for i in lst], repeat(round_))
-        )
-        stats.commits_by_round[round_] = stats.commits_by_round.get(
-            round_, 0
-        ) + len(lst)
-        for tr in trackers:
-            tr.on_committed(idxs)
-
-    # per-slot ready queues: ``queue`` is the frame being fired,
-    # ``ready_next`` the frame after it; route() buckets fresh relays
-    queue: List[List] = []
-    ready_next: List[List] = [[] for _ in range(num_slots)]
-
-    def route(idxs, current_slot: int) -> None:
-        """Enqueue fresh relays: own slot after ``current_slot`` fires
-        this frame, at-or-before rolls to the next frame (equal is
-        impossible -- co-slotted nodes are out of range).  One argsort
-        plus boundary slicing; within-bucket order is irrelevant (the
-        batch path is order-free and the scalar fallback re-sorts)."""
-        fslots = slot_of[idxs]
-        order = np.argsort(fslots)
-        si = idxs[order]
-        ss = fslots[order]
-        bounds = np.flatnonzero(ss[1:] != ss[:-1]) + 1
-        starts = [0, *bounds.tolist()]
-        ends = [*bounds.tolist(), len(ss)]
-        for a, b in zip(starts, ends):
-            s2 = int(ss[a])
-            (queue if s2 > current_slot else ready_next)[s2].append(
-                si[a:b]
-            )
-
-    # -- start phase (round -1): the source broadcasts SRC + COMMITTED
-    # and commits; dead-from-start crashes are announced.
-    record_commits(np.asarray([source_idx], dtype=np.int64), -1)
-    pending[source_idx] = 2
-    pending_total = 2
-    ready_next[int(slot_of[source_idx])].append(
-        np.asarray([source_idx], dtype=np.int64)
+    heard, fire = _commit_times(
+        lattice, source_idx, correct, max_rounds * num_slots
     )
-    stats.crashes = int((crash_rounds == 0).sum())
 
-    budget = max_messages
-    tx_total = 0
-    rounds = 0
-    quiescent = False
-    hit_rounds = False
-    hit_messages = False
-    r = 0
-    while True:
-        if r >= max_rounds:
-            hit_rounds = True
-            break
-        if r > 0:
-            # crash_rounds == 0 nodes were announced during the start
-            # phase; later crashes announce when their round executes
-            stats.crashes += int((crash_rounds == r).sum())
-        queue = ready_next
-        ready_next = [[] for _ in range(num_slots)]
-        tx_round = 0
-        obs_del_round = 0
-        tripped = False
-        for s in range(num_slots):
-            parts = queue[s]
-            if not parts:
-                continue
-            txers = parts[0] if len(parts) == 1 else np.concatenate(parts)
-            msgs = pending[txers]
-            demand = int(msgs.sum())
-            if budget is None or tx_total + demand <= budget:
-                # the whole slot fits in the budget: fire it as a batch
-                tx_total += demand
-                tx_round += demand
-                pending_total -= demand
-                stats.fanout_deliveries += demand * K
-                tx_arr[txers] += msgs
-                pending[txers] = 0
-                balls = lattice.balls_of(txers)  # (m, K) receiver indices
-                alive = crash_rounds[balls] > r
-                delivered = balls[alive]
-                if delivered.size:
-                    # each receiver hears its (single) in-range sender's
-                    # whole burst: weight = that sender's message count.
-                    # Ball disjointness makes `delivered` duplicate-free,
-                    # so fancy-index += is exact.
-                    if demand == txers.size:  # all single-message relays
-                        obs_del_round += int(delivered.size)
-                        rx_arr[delivered] += 1
-                    else:
-                        weights = np.broadcast_to(
-                            msgs[:, None], balls.shape
-                        )[alive]
-                        obs_del_round += int(weights.sum())
-                        rx_arr[delivered] += weights
-                    for tr in trackers:
-                        tr.on_delivered(delivered)
-                    fresh = delivered[
-                        correct[delivered] & ~committed.get(delivered)
-                    ]
-                    if fresh.size:
-                        record_commits(fresh, r)
-                        pending[fresh] = 1
-                        pending_total += int(fresh.size)
-                        route(fresh, s)
-            else:
-                # budget trips inside this slot: replay it per message,
-                # in node order, stopping exactly where the reference
-                # engine's pre-send check stops
-                for txer in np.sort(txers).tolist():
-                    while pending[txer] > 0:
-                        if tx_total >= budget:
-                            tripped = True
-                            break
-                        pending[txer] -= 1
-                        pending_total -= 1
-                        tx_total += 1
-                        tx_round += 1
-                        stats.fanout_deliveries += K
-                        tx_arr[txer] += 1
-                        ball = lattice.ball_of(txer)
-                        delivered = ball[crash_rounds[ball] > r]
-                        if delivered.size:
-                            obs_del_round += int(delivered.size)
-                            rx_arr[delivered] += 1
-                            for tr in trackers:
-                                tr.on_delivered(delivered)
-                            fresh = delivered[
-                                correct[delivered]
-                                & ~committed.get(delivered)
-                            ]
-                            if fresh.size:
-                                record_commits(fresh, r)
-                                pending[fresh] = 1
-                                pending_total += int(fresh.size)
-                                route(fresh, s)
-                    if tripped:
-                        break
-            if tripped:
-                break
-        # close the round: budget-truncated partial rounds still count
-        if tx_round:
-            stats.tx_by_round[r] = tx_round
-        if obs_del_round:
-            stats.deliveries_by_round[r] = obs_del_round
+    # one entry per message, in (tau, node) order: the source fires
+    # first (every other fire is later), and its SRC + COMMITTED burst
+    # is two entries
+    fired = np.flatnonzero(fire < _NEVER)
+    fired = fired[np.argsort(fire[fired], kind="stable")]
+    txers = np.concatenate(([source_idx], fired))
+    times = fire[txers]
+    committed = heard < _NEVER
+    if max_messages is not None and txers.size > max_messages:
+        # the budget trips on message max_messages + 1: keep the prefix
+        cut = int(times[max_messages])
+        txers, times = txers[:max_messages], times[:max_messages]
+        committed = heard < cut
+        # first hearers in the trip slot commit iff their transmitter
+        # went out (each hears exactly one transmitter in that slot)
+        hearers = lattice.balls_of(txers[times == cut]).ravel()
+        committed[hearers[heard[hearers] == cut]] = True
+        stats.rounds = cut // num_slots + 1
+        stats.hit_message_limit = True
+    else:
+        last = int(times[-1]) // num_slots
+        if last + 1 < max_rounds:
+            stats.rounds = last + 2  # a silent round confirms quiescence
+            stats.quiescent = True
+        else:
+            stats.rounds = max_rounds
+            stats.hit_round_limit = True
+    rounds = stats.rounds
+    stats.crashes = int((crash_rounds < rounds).sum())
+    stats.transmissions = int(txers.size)
+    stats.fanout_deliveries = stats.transmissions * lattice.ball_size
+
+    # commits in round order (the source's on_start commit is round -1)
+    cidx = np.flatnonzero(committed)
+    cround = heard[cidx] // num_slots
+    order = np.argsort(cround, kind="stable")
+    cidx, cround = cidx[order], cround[order]
+    stats.commit_round = dict(
+        zip([coords[i] for i in cidx.tolist()], cround.tolist())
+    )
+    crounds, ccounts = np.unique(cround, return_counts=True)
+    stats.commits_by_round = dict(zip(crounds.tolist(), ccounts.tolist()))
+
+    # round by round: receptions by live nodes, wave-fronts, snapshots
+    span = np.arange(-1, rounds + 1)
+    fire_at = np.searchsorted(times // num_slots, span).tolist()
+    commit_at = np.searchsorted(cround, span).tolist()
+    for tr in trackers:
+        tr.on_committed(cidx[commit_at[0]:commit_at[1]])
+    rx = np.zeros(n, dtype=np.int64)
+    for rnd in range(rounds):
+        lo, hi = fire_at[rnd + 1], fire_at[rnd + 2]
+        if hi > lo:
+            stats.tx_by_round[rnd] = hi - lo
+            balls = lattice.balls_of(txers[lo:hi])
+            delivered = balls[crash_rounds[balls] > rnd]
+            if delivered.size:
+                # receivers repeat across the slots of a round (and the
+                # source's burst): np.add.at counts every repeat
+                np.add.at(rx, delivered, 1)
+                stats.deliveries_by_round[rnd] = int(delivered.size)
+                for tr in trackers:
+                    tr.on_delivered(delivered)
         for tr in trackers:
-            tr.snapshot(r)
-        rounds = r + 1
-        if tripped:
-            hit_messages = True
-            break
-        if tx_round == 0 and pending_total == 0:
-            quiescent = True
-            break
-        r += 1
+            tr.on_committed(cidx[commit_at[rnd + 1]:commit_at[rnd + 2]])
+            tr.snapshot(rnd)
 
-    stats.rounds = rounds
-    stats.quiescent = quiescent
-    stats.hit_round_limit = hit_rounds
-    stats.hit_message_limit = hit_messages
-    stats.transmissions = tx_total
     stats.obs_deliveries = sum(stats.deliveries_by_round.values())
-    nz = np.flatnonzero(tx_arr).tolist()
-    stats.tx_by_node = dict(
-        zip([coords[i] for i in nz], tx_arr[nz].tolist())
-    )
-    nz = np.flatnonzero(rx_arr).tolist()
-    stats.rx_by_node = dict(
-        zip([coords[i] for i in nz], rx_arr[nz].tolist())
-    )
-    stats.committed_mask = committed.to_list()
+    tx = np.bincount(txers, minlength=n)
+    nz = np.flatnonzero(tx).tolist()
+    stats.tx_by_node = dict(zip([coords[i] for i in nz], tx[nz].tolist()))
+    nz = np.flatnonzero(rx).tolist()
+    stats.rx_by_node = dict(zip([coords[i] for i in nz], rx[nz].tolist()))
+    stats.committed_mask = committed.tolist()
     return stats

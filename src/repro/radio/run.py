@@ -84,14 +84,25 @@ def grade_outcome(
     value: Any,
     correct_nodes: Set[Coord],
 ) -> BroadcastOutcome:
-    """Grade a finished simulation against safety and liveness."""
+    """Grade a finished simulation against safety and liveness.
+
+    Only the failing nodes are sorted (most correct nodes pass), so
+    ``undecided`` and ``wrong_commits`` come out in node order without
+    a sort over every correct node.
+    """
+    processes = result.processes
+    failed = sorted(
+        node
+        for node in correct_nodes
+        if (got := processes[node].committed_value()) is None or got != value
+    )
     wrong: Dict[Coord, Any] = {}
     undecided: List[Coord] = []
-    for node in sorted(correct_nodes):
-        committed = result.processes[node].committed_value()
+    for node in failed:
+        committed = processes[node].committed_value()
         if committed is None:
             undecided.append(node)
-        elif committed != value:
+        else:
             wrong[node] = committed
     return BroadcastOutcome(
         value=value,

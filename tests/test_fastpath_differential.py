@@ -20,8 +20,10 @@ same grading facts.  This suite enforces that contract three ways:
    two engines (which the differential pairs cannot see) still fails.
 
 Plus regression pins for the awkward edges both backends must agree on:
-zero-round runs, all-relays-dead-from-start, and message budgets that
-trip mid-frame (``result.rounds`` pinned on both).
+zero-round runs, all-relays-dead-from-start, message budgets that trip
+mid-frame (``result.rounds`` pinned on both), the budget and round-cap
+boundaries of the crash-flood kernel's prefix cuts, and a crash that
+lands after its node has heard the flood.
 """
 
 from __future__ import annotations
@@ -367,6 +369,106 @@ def test_budget_trips_mid_frame(engine):
     assert obs["grade"]["hit_message_limit"]
     assert obs["grade"]["rounds"] == 1
     assert obs["trace"]["transmissions"] <= 3
+
+
+# The crash-flood kernel reads every run off its fires in (time, node)
+# order and cuts that order at the round cap and the message budget;
+# these pins sit on each cut's boundary.  Side 13 is not divisible by
+# 2r+1 = 5 (one node per TDMA slot); side 10 is (the coloring schedule).
+BOUNDARY_SIDES = (13, 10)
+
+
+def _boundary_point(side: int, **overrides: Any) -> Dict[str, Any]:
+    point = make_point(protocol="crash-flood", r=2, side=side, t=2, seed=7)
+    point.update(overrides)
+    return point
+
+
+@pytest.mark.parametrize("side", BOUNDARY_SIDES)
+@pytest.mark.parametrize("budget", (0, 1, 2, 3))
+def test_budget_inside_the_first_frame(side, budget):
+    """Budgets 0-3 stop in round 0: 0 before the source's burst, 1
+    between its SRC and COMMITTED messages (the source's ball still
+    hears SRC and commits), 2 right after it, 3 after one relay."""
+    obs = assert_engines_agree(_boundary_point(side, max_messages=budget))
+    assert obs["grade"]["hit_message_limit"]
+    assert obs["grade"]["rounds"] == 1
+    assert obs["trace"]["transmissions"] == budget
+    committed = sum(1 for v in obs["committed"].values() if v is not None)
+    assert (committed == 1) == (budget == 0)
+
+
+@pytest.mark.parametrize("side", BOUNDARY_SIDES)
+def test_budget_at_and_one_below_the_run_total(side):
+    """A budget equal to the unconstrained total never trips (the check
+    runs before a send); one less trips on the very last message, in
+    the last transmitting round."""
+    free = assert_engines_agree(_boundary_point(side))
+    assert free["grade"]["quiescent"]
+    total = free["trace"]["transmissions"]
+    assert assert_engines_agree(_boundary_point(side, max_messages=total)) == free
+    short = assert_engines_agree(
+        _boundary_point(side, max_messages=total - 1)
+    )
+    assert short["grade"]["hit_message_limit"]
+    assert short["grade"]["rounds"] == free["grade"]["rounds"] - 1
+    assert short["trace"]["transmissions"] == total - 1
+
+
+@pytest.mark.parametrize("side", BOUNDARY_SIDES)
+def test_round_cap_at_the_last_transmitting_round(side):
+    """A quiescent run takes (last transmitting round) + 2 rounds.  A cap
+    of last + 1 lets every transmission happen yet trips the round
+    limit; last + 2 leaves room for the silent round, so the run is
+    unchanged."""
+    free = assert_engines_agree(_boundary_point(side))
+    rounds = free["grade"]["rounds"]
+    capped = assert_engines_agree(_boundary_point(side, max_rounds=rounds - 1))
+    assert capped["grade"]["hit_round_limit"]
+    assert not capped["grade"]["quiescent"]
+    assert capped["grade"]["rounds"] == rounds - 1
+    assert capped["committed"] == free["committed"]
+    assert capped["trace"]["transmissions"] == free["trace"]["transmissions"]
+    assert assert_engines_agree(_boundary_point(side, max_rounds=rounds)) == free
+
+
+#: a faulty node in the source's ball that crashes in round 1, next to a
+#: dead-from-start one that delays part of the flood: on both boundary
+#: tori it hears the source's burst and relays in round 0, and its ball
+#: still transmits in round 1, when it is dead
+LATE_CRASH = {(0, 1): 0, (0, 2): 1}
+
+
+def _build_late_crash(point: Dict[str, Any], engine: str):
+    sc = crash_broadcast_scenario(
+        r=point["r"], t=2, placement="explicit", faults=sorted(LATE_CRASH),
+        torus_side=point["side"], max_rounds=point["max_rounds"],
+        engine=engine,
+    )
+    sc.crash_round.update(LATE_CRASH)
+    return sc
+
+
+@pytest.mark.parametrize("side", BOUNDARY_SIDES)
+def test_late_crash_counts_receptions_before_the_crash(side):
+    """A crashing node is a live receiver until its crash round.  The
+    run is otherwise the dead-from-start run (faulty nodes never relay),
+    so the late crash adds exactly its own receptions to deliveries."""
+    point = _boundary_point(side)
+    assert_engines_agree(point, builder=_build_late_crash)
+    node = (0, 2)
+    for engine in ("reference", "fastpath"):
+        late = RunMetrics(source=None)
+        _build_late_crash(point, engine).run(observers=[late])
+        dead = RunMetrics(source=None)
+        sc = _build_late_crash(point, engine)
+        sc.crash_round[node] = 0
+        sc.run(observers=[dead])
+        heard = late.rx_by_node.get(node, 0)
+        assert heard >= 2, (engine, heard)  # at least the source's burst
+        assert node not in dead.rx_by_node
+        assert late.deliveries == dead.deliveries + heard, engine
+        assert late.crashes == dead.crashes == 2
 
 
 # -- 5. scenario-axis guardrails ------------------------------------------
