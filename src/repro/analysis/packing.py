@@ -23,9 +23,16 @@ thresholds are exact; an approximate packer would blur them.
 
 from __future__ import annotations
 
-from collections import Counter
-from itertools import chain
-from typing import FrozenSet, Hashable, Iterable, List, Optional, Sequence
+from typing import (
+    Dict,
+    FrozenSet,
+    Hashable,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Set,
+)
 
 from repro.errors import ReproError
 
@@ -170,24 +177,32 @@ def max_set_packing(
     return len(find_set_packing(sets, target=target, budget=budget))
 
 
-def _hit_by_fewer_than(sets: Sequence[FrozenSet[Hashable]], k: int) -> bool:
-    """Whether a greedy pick of at most ``k - 1`` elements hits every
-    non-empty set.
+def hitting_set(
+    sets: Sequence[FrozenSet[Hashable]], picks: int
+) -> Optional[Set[Hashable]]:
+    """A greedy pick of at most ``picks`` elements that hits every
+    non-empty set, or ``None`` when the greedy pick needs more.
 
-    ``True`` proves that no ``k`` pairwise-disjoint sets exist: each of
-    them would need its own hitting element.  ``False`` proves nothing
-    (the greedy pick is not a minimum hitting set), so the caller falls
-    through to the exact solver.  Ties in the pick are free: whichever
-    hitting set is found, the proof is the same.
+    A hitting set of at most ``k - 1`` elements proves that no ``k``
+    pairwise-disjoint sets exist: each of them would need its own
+    hitting element.  ``None`` proves nothing (the greedy pick is not a
+    minimum hitting set), so callers fall through to the exact solver.
+    Ties in the pick are free: whichever hitting set is found, the proof
+    is the same.
     """
     remaining = [s for s in sets if s]
-    for _ in range(k - 1):
-        if not remaining:
-            return True
-        counts = Counter(chain.from_iterable(remaining))
+    picked: Set[Hashable] = set()
+    while remaining:
+        if len(picked) >= picks:
+            return None
+        counts: Dict[Hashable, int] = {}
+        for s in remaining:
+            for x in s:
+                counts[x] = counts.get(x, 0) + 1
         pick = max(counts, key=counts.__getitem__)
+        picked.add(pick)
         remaining = [s for s in remaining if pick not in s]
-    return not remaining
+    return picked
 
 
 def has_packing_of_size(
@@ -209,6 +224,6 @@ def has_packing_of_size(
     if k <= 0:
         return True
     family = [frozenset(s) for s in sets]
-    if _hit_by_fewer_than(family, k):
+    if hitting_set(family, k - 1) is not None:
         return False
     return len(find_set_packing(family, target=k, budget=budget)) >= k

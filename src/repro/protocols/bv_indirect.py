@@ -50,7 +50,6 @@ from __future__ import annotations
 
 from typing import Any, Dict, Optional, Set, Tuple, Union
 
-from repro.analysis.packing import PackingBudgetExceeded, has_packing_of_size
 from repro.errors import ConfigurationError
 from repro.geometry.coords import Coord
 from repro.geometry.metrics import Metric
@@ -216,14 +215,9 @@ class BVIndirectProtocol(BroadcastProtocolNode):
         if self._committed is not None:
             self._paths.pop_dirty()  # drop stale work; we only relay now
             return
+        k = self.t + 1
         for (origin, value), center in self._paths.pop_dirty():
             if origin in self._determined:
                 continue
-            chains = self._paths.chains_at((origin, value), center)
-            if len(chains) < self.t + 1:
-                continue
-            try:
-                if has_packing_of_size(chains, self.t + 1):
-                    self._determine(ctx, origin, value)
-            except PackingBudgetExceeded:
-                continue  # safe: postpone, never guess
+            if self._paths.has_packing((origin, value), center, k):
+                self._determine(ctx, origin, value)

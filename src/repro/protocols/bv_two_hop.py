@@ -29,7 +29,6 @@ from __future__ import annotations
 
 from typing import Any, Dict, Optional, Set, Tuple
 
-from repro.analysis.packing import PackingBudgetExceeded, has_packing_of_size
 from repro.geometry.coords import Coord
 from repro.protocols.base import (
     BroadcastProtocolNode,
@@ -63,6 +62,12 @@ class BVTwoHopProtocol(BroadcastProtocolNode):
 
     def on_receive(self, ctx: Context, env: Envelope) -> None:
         payload = env.payload
+        # HEARD reports are nearly all of the traffic, and evidence only
+        # matters pre-commit (we never relay HEARDs): settle them first.
+        if isinstance(payload, HeardMsg):
+            if self._committed is None and hashable_value(payload.value):
+                self._on_heard(ctx, env, payload)
+            return
         if isinstance(payload, SourceMsg):
             self.handle_source_msg(ctx, env)
             return
@@ -70,9 +75,6 @@ class BVTwoHopProtocol(BroadcastProtocolNode):
             return  # malformed Byzantine value: cannot key the evidence index
         if isinstance(payload, CommittedMsg):
             self._on_committed(ctx, env, payload)
-            return
-        if isinstance(payload, HeardMsg):
-            self._on_heard(ctx, env, payload)
 
     def _on_committed(
         self, ctx: Context, env: Envelope, msg: CommittedMsg
@@ -87,20 +89,20 @@ class BVTwoHopProtocol(BroadcastProtocolNode):
             self._ensure_index(ctx).add(msg.value, frozenset((sender,)))
 
     def _on_heard(self, ctx: Context, env: Envelope, msg: HeardMsg) -> None:
-        if self._committed is not None:
-            return  # evidence only matters pre-commit; we never relay HEARDs
         if msg.relays:
             return  # deeper relays belong to the 4-hop protocol; ignore
         reporter = ctx.localize(env.sender)
         origin = ctx.localize(msg.origin)
         if origin == reporter or origin == ctx.node:
             return  # self-reports carry no extra evidence
-        if (reporter, origin) in self._reports_seen:
+        report = (reporter, origin)
+        if report in self._reports_seen:
             return  # first report by this reporter about this origin wins
-        if not self.metric.within(reporter, origin, ctx.r):
+        index = self._ensure_index(ctx)
+        if not self.metric.within(reporter, origin, index.r):
             return  # implausible: reporter could not have heard origin
-        self._reports_seen.add((reporter, origin))
-        self._ensure_index(ctx).add(msg.value, frozenset((origin, reporter)))
+        self._reports_seen.add(report)
+        index.add(msg.value, frozenset((origin, reporter)))
 
     def evidence_state_size(self) -> int:
         """Announcements plus distinct stored evidence chains."""
@@ -110,18 +112,11 @@ class BVTwoHopProtocol(BroadcastProtocolNode):
     # -- commit evaluation ----------------------------------------------------
 
     def on_round_end(self, ctx: Context) -> None:
-        if self._committed is not None or self._index is None:
+        index = self._index
+        if self._committed is not None or index is None:
             return
-        for value, center in self._index.pop_dirty():
-            chains = self._index.chains_at(value, center)
-            if len(chains) < self.t + 1:
-                continue
-            try:
-                if has_packing_of_size(chains, self.t + 1):
-                    self.commit(ctx, value)
-                    return
-            except PackingBudgetExceeded:
-                # Treated as "cannot determine yet": safe (never commits
-                # wrong) and in practice unreachable for protocol-sized
-                # instances.
-                continue
+        k = self.t + 1
+        for value, center in index.pop_dirty():
+            if index.has_packing(value, center, k):
+                self.commit(ctx, value)
+                return

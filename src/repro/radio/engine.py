@@ -47,7 +47,7 @@ from repro.geometry.coords import Coord
 from repro.grid.tdma import TDMASchedule, make_schedule
 from repro.grid.topology import Topology
 from repro.radio.messages import Envelope
-from repro.radio.node import Context, NodeProcess, SilentProcess
+from repro.radio.node import Context, NodeProcess, SilentProcess, World
 from repro.radio.trace import Trace
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -227,13 +227,14 @@ class Engine:
         self._loss_rng = (
             self.channel.make_rng() if self.channel.loss_rate > 0 else None
         )
-        self._jammers_this_round: Set[Coord] = set()
-        self._jam_counts: Dict[Coord, int] = {}
+        #: what the contexts reach of the engine (round counter, radius,
+        #: torus wrap, channel, jams); no context points back at us
+        self._world = World(topology, self.channel)
+        self._jammers_this_round: Set[Coord] = self._world.jammers
         self.trace = Trace(record_events=record_events)
-        self.round = -1  # on_start happens "before time"
         self._seq = 0
         self._contexts: Dict[Coord, Context] = {
-            node: Context(node, self) for node in self._all_nodes
+            node: Context(node, self._world) for node in self._all_nodes
         }
         self._started = False
         self._observers: Tuple["EngineObserver", ...] = tuple(observers or ())
@@ -246,6 +247,15 @@ class Engine:
         self._announced_crashes: Set[Coord] = set()
 
     # ------------------------------------------------------------------
+
+    @property
+    def round(self) -> int:
+        """Current round (TDMA frame) index; -1 during ``on_start``."""
+        return self._world.round
+
+    @round.setter
+    def round(self, value: int) -> None:
+        self._world.round = value
 
     def context_of(self, node: Coord) -> Context:
         """The context object of a node (post-mortem inspection)."""
@@ -298,18 +308,6 @@ class Engine:
             # commits made during on_start are reported at round -1
             self._sweep_commits()
 
-    def _register_jam(self, node: Coord) -> bool:
-        """Activate ``node``'s jammer for the current round (within the
-        configured per-node budget).  Returns whether the jam is live."""
-        budget = self.channel.max_jam_rounds_per_node
-        spent = self._jam_counts.get(node, 0)
-        if budget is not None and spent >= budget:
-            return False
-        if node not in self._jammers_this_round:
-            self._jammers_this_round.add(node)
-            self._jam_counts[node] = spent + 1
-        return True
-
     def _is_jammed(self, receiver: Coord) -> bool:
         """Whether a receiver is inside any active jammer's radius (or is
         itself jamming -- a transmitting radio cannot listen)."""
@@ -330,6 +328,7 @@ class Engine:
         observers = self._observers
         trace = self.trace
         limit = self.max_messages
+        round_ = self.round
         dead = self._dead
         jammers = self._jammers_this_round
         is_jammed = self._is_jammed
@@ -348,33 +347,46 @@ class Engine:
                     sender=sender,
                     payload=payload,
                     seq=self._seq,
-                    round=self.round,
+                    round=round_,
                     slot=slot,
                 )
                 self._seq += 1
                 trace.on_transmission(env, len(receivers))
                 for obs in observers:
                     obs.on_transmission(env, receivers)
-                # dead, then jammed, then one loss draw: the RNG is drawn
-                # only for receivers that are alive and not jammed
-                survivors = [
-                    nb
-                    for nb in receivers
-                    if nb not in dead
-                    and not (jammers and is_jammed(nb))
-                    and (loss_rng is None or loss_rng.random() >= loss_rate)
-                ]
+                if jammers or loss_rng is not None:
+                    # dead, then jammed, then one loss draw: the RNG is
+                    # drawn only for receivers alive and not jammed
+                    survivors = [
+                        nb
+                        for nb in receivers
+                        if nb not in dead
+                        and not (jammers and is_jammed(nb))
+                        and (
+                            loss_rng is None
+                            or loss_rng.random() >= loss_rate
+                        )
+                    ]
+                elif dead:
+                    survivors = [nb for nb in receivers if nb not in dead]
+                else:
+                    survivors = receivers
                 if buffered:
                     self._pending_deliveries.append((env, tuple(survivors)))
                     continue
                 t0 = prof.begin() if prof is not None else 0.0
-                for nb in survivors:
-                    for obs in observers:
-                        obs.on_delivery(nb, env)
-                    nb_ctx = contexts[nb]
-                    if nb_ctx.halted:
-                        continue
-                    processes[nb].on_receive(nb_ctx, env)
+                if observers:
+                    for nb in survivors:
+                        for obs in observers:
+                            obs.on_delivery(nb, env)
+                        nb_ctx = contexts[nb]
+                        if not nb_ctx.halted:
+                            processes[nb].on_receive(nb_ctx, env)
+                else:
+                    for nb in survivors:
+                        nb_ctx = contexts[nb]
+                        if not nb_ctx.halted:
+                            processes[nb].on_receive(nb_ctx, env)
                 if prof is not None:
                     prof.end("deliver", t0)
         return True
@@ -416,15 +428,16 @@ class Engine:
         """Execute one TDMA frame.  Returns False if a message-budget stop
         occurred mid-frame."""
         self._jammers_this_round.clear()
+        round_ = self.round
         dead = self._dead
         crashes = self._crash_schedule
-        while crashes and crashes[0][1] <= self.round:
+        while crashes and crashes[0][1] <= round_:
             dead.add(crashes.popleft()[0])
         contexts = self._contexts
         processes = self.processes
         prof = self._profiler
         for obs in self._observers:
-            obs.on_round_start(self.round)
+            obs.on_round_start(round_)
         if self._pending_deliveries:
             t0 = prof.begin() if prof is not None else 0.0
             self._flush_pending_deliveries()
@@ -434,8 +447,8 @@ class Engine:
         for node in self._all_nodes:
             ctx = contexts[node]
             if node in dead:
-                if self.crash_round[node] == self.round:
-                    self._announce_crash(node, self.round)
+                if self.crash_round[node] == round_:
+                    self._announce_crash(node, round_)
                     ctx._outbox.clear()
                 continue
             if not ctx.halted:

@@ -9,9 +9,9 @@ per-delivery observer dispatch, coordinate canonicalization and
 localization.  This kernel runs the same per-message state machine over
 flat integer indices and precomputed ball/offset tables, reusing the
 reference evidence machinery (:class:`~repro.protocols.evidence.
-CenterIndex`, :func:`~repro.analysis.packing.has_packing_of_size`)
-verbatim so commit decisions -- including packing-search order and
-budget behavior -- are identical by construction.
+CenterIndex` and its ``has_packing`` commit check) verbatim so commit
+decisions -- including packing-search order and budget behavior -- are
+identical by construction.
 
 Message encoding (value is run-constant, so payloads carry none):
 
@@ -34,7 +34,6 @@ from __future__ import annotations
 from collections import deque
 from typing import Dict, List, Optional
 
-from repro.analysis.packing import PackingBudgetExceeded, has_packing_of_size
 from repro.protocols.evidence import CenterIndex
 from repro.radio.fastpath.compat import require_numpy
 from repro.radio.fastpath.lattice import Lattice
@@ -219,16 +218,11 @@ def run_bv_two_hop_kernel(
                 st = states[p]
                 if st.committed or st.index is None:
                     continue
-                for key, center in st.index.pop_dirty():
-                    chains = st.index.chains_at(key, center)
-                    if len(chains) < t1:
-                        continue
-                    try:
-                        if has_packing_of_size(chains, t1):
-                            commit(st, p, r)
-                            break
-                    except PackingBudgetExceeded:
-                        continue  # cannot determine yet; same as reference
+                index = st.index
+                for key, center in index.pop_dirty():
+                    if index.has_packing(key, center, t1):
+                        commit(st, p, r)
+                        break
         # close the round (partial budget-truncated rounds still count)
         if tx_round:
             stats.tx_by_round[r] = tx_round

@@ -11,13 +11,69 @@ the paper's model.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Callable, Deque, Optional, Tuple, TYPE_CHECKING
+from typing import (
+    Any,
+    Callable,
+    Deque,
+    Dict,
+    Optional,
+    Set,
+    Tuple,
+    TYPE_CHECKING,
+)
 
 from repro.geometry.coords import Coord
 from repro.radio.messages import Envelope
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.radio.engine import Engine
+    from repro.grid.topology import Topology
+    from repro.radio.channel import ChannelImperfections
+
+
+class World:
+    """The engine state a node's context may read or touch.
+
+    One per engine, shared by all of its contexts: the round counter, the
+    topology and its torus wrap, the radius, the channel model and the
+    jam bookkeeping.  It points at neither the engine nor the contexts,
+    so a finished engine is freed by reference counting alone -- no
+    Engine <-> Context cycle is left for the cyclic collector.
+    """
+
+    __slots__ = (
+        "round", "topology", "r", "wrap", "channel", "jammers", "jam_counts"
+    )
+
+    def __init__(
+        self, topology: "Topology", channel: "ChannelImperfections"
+    ) -> None:
+        #: current round (TDMA frame) index; -1 before round 0
+        self.round = -1
+        self.topology = topology
+        self.r = topology.r
+        #: ``(width, height, width // 2, height // 2)`` on a torus, else
+        #: ``None``: what :meth:`Context.localize` wraps by
+        self.wrap: Optional[Tuple[int, int, int, int]] = None
+        if getattr(topology, "toroidal_delta", None) is not None:
+            w, h = topology.width, topology.height
+            self.wrap = (w, h, w // 2, h // 2)
+        self.channel = channel
+        #: nodes jamming in the current round (the engine clears it)
+        self.jammers: Set[Coord] = set()
+        #: rounds jammed so far, per node
+        self.jam_counts: Dict[Coord, int] = {}
+
+    def register_jam(self, node: Coord) -> bool:
+        """Activate ``node``'s jammer for the current round (within the
+        configured per-node budget).  Returns whether the jam is live."""
+        budget = self.channel.max_jam_rounds_per_node
+        spent = self.jam_counts.get(node, 0)
+        if budget is not None and spent >= budget:
+            return False
+        if node not in self.jammers:
+            self.jammers.add(node)
+            self.jam_counts[node] = spent + 1
+        return True
 
 
 class Context:
@@ -28,11 +84,11 @@ class Context:
     time (round/slot), the radio parameters, and a ``broadcast`` primitive.
     """
 
-    __slots__ = ("node", "_engine", "_outbox", "halted")
+    __slots__ = ("node", "_world", "_outbox", "halted")
 
-    def __init__(self, node: Coord, engine: "Engine") -> None:
+    def __init__(self, node: Coord, world: World) -> None:
         self.node = node
-        self._engine = engine
+        self._world = world
         #: queued (payload, claimed_sender) pairs; ``claimed_sender`` is
         #: ``None`` for honest broadcasts and the forged coordinate for
         #: :meth:`broadcast_as` transmissions.  A deque: the engine drains
@@ -47,17 +103,17 @@ class Context:
     @property
     def r(self) -> int:
         """The transmission radius."""
-        return self._engine.topology.r
+        return self._world.r
 
     @property
     def metric_name(self) -> str:
         """Name of the distance metric in force."""
-        return self._engine.topology.metric.name
+        return self._world.topology.metric.name
 
     @property
     def round(self) -> int:
         """Current round (TDMA frame) index."""
-        return self._engine.round
+        return self._world.round
 
     @property
     def pending(self) -> int:
@@ -75,12 +131,20 @@ class Context:
         geometry (balls, adjacency, covering centers) can be computed in
         plain infinite-grid arithmetic.
         """
-        topo = self._engine.topology
-        delta = getattr(topo, "toroidal_delta", None)
-        if delta is None:
+        wrap = self._world.wrap
+        if wrap is None:
             return (other[0], other[1])
-        dx, dy = delta(self.node, other)
-        return (self.node[0] + dx, self.node[1] + dy)
+        # node + Torus.toroidal_delta(node, other), inline: the node is
+        # canonical, so only ``other`` needs reducing
+        width, height, half_w, half_h = wrap
+        x, y = self.node
+        dx = (int(other[0]) - x) % width
+        if dx > half_w:
+            dx -= width
+        dy = (int(other[1]) - y) % height
+        if dy > half_h:
+            dy -= height
+        return (x + dx, y + dy)
 
     def broadcast(self, payload: Any) -> None:
         """Queue ``payload`` for local broadcast in this node's next slot.
@@ -104,13 +168,13 @@ class Context:
         """
         from repro.errors import SpoofingError
 
-        if not self._engine.channel.allow_spoofing:
+        if not self._world.channel.allow_spoofing:
             raise SpoofingError(
                 f"node {self.node} attempted to transmit as "
                 f"{claimed_sender}, but the channel model forbids address "
                 "spoofing (enable it via ChannelImperfections)"
             )
-        canonical = self._engine.topology.canonical(claimed_sender)
+        canonical = self._world.topology.canonical(claimed_sender)
         self._outbox.append((payload, canonical))
 
     def jam(self) -> bool:
@@ -125,13 +189,13 @@ class Context:
         """
         from repro.errors import ProtocolViolationError
 
-        if not self._engine.channel.allow_jamming:
+        if not self._world.channel.allow_jamming:
             raise ProtocolViolationError(
                 f"node {self.node} attempted to jam, but the channel model "
                 "forbids deliberate collisions (enable via "
                 "ChannelImperfections)"
             )
-        return self._engine._register_jam(self.node)
+        return self._world.register_jam(self.node)
 
     def halt(self) -> None:
         """Terminate local protocol execution.

@@ -1,5 +1,7 @@
 """Tests for the two Bhandari-Vaidya protocols (Sections VI and VI-B)."""
 
+import hashlib
+
 import pytest
 
 from repro.core.thresholds import byzantine_linf_max_t, koo_impossibility_bound
@@ -319,3 +321,63 @@ class TestSafetyNeverViolated:
         )
         sc.validate()
         assert sc.run().safe
+
+
+class TestOverBudgetCommitOrder:
+    """Pins for runs where the order of commit checks decides the rows.
+
+    Over-budget explicit fabricator placements support the wrong value
+    in some neighborhoods, so a node can hold commit evidence for both
+    values in one round; the first check that succeeds (in
+    ``CenterIndex.pop_dirty``'s ``repr`` order) decides which value it
+    commits.  Each pin is the sha256 of the sorted ``(node, committed
+    value, commit_round)`` list of the correct nodes, with the wrong
+    commit count, rounds and messages.
+    """
+
+    CASES = {
+        "two-hop-r1-triad": (
+            dict(protocol="bv-two-hop", r=1, t=1,
+                 faults=[(3, 3), (3, 4), (4, 3)]),
+            (58, 118, 6, 1198,
+             "cc4a0d0d75000e06b365cdafed2caa57a0e4eb897399eaa5b7fad53c722217ca"),
+        ),
+        "two-hop-r2-block": (
+            dict(protocol="bv-two-hop", r=2, t=2,
+                 faults=[(6, 6), (7, 6), (6, 7), (7, 7)]),
+            (132, 285, 5, 7754,
+             "6f0a4054634c73d094fa0a22f08c9735934fb6c68051087ca6be11752119d0fd"),
+        ),
+        "two-hop-r2-plus": (
+            dict(protocol="bv-two-hop", r=2, t=3,
+                 faults=[(6, 6), (5, 6), (7, 6), (6, 5), (6, 7)]),
+            (142, 284, 6, 7886,
+             "e0ff9bdc224efea1086fff1eb4ddb1223a8a1026d7da976bd92e1945d1c9f2cd"),
+        ),
+        # bv-indirect stays at r=1: its r=2 run takes minutes
+        "indirect-r1-triad": (
+            dict(protocol="bv-indirect", r=1, t=1,
+                 faults=[(3, 3), (3, 4), (4, 3)]),
+            (58, 118, 6, 39226,
+             "9e25c7a891b11451884db6249dcca186cadce384553f48c731bcc5a6dde4b8a4"),
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_wrong_commits_are_pinned(self, case):
+        kwargs, (wrong, correct, rounds, messages, digest) = self.CASES[case]
+        out = byzantine_broadcast_scenario(
+            placement="explicit", enforce_budget=False, engine="reference",
+            **kwargs,
+        ).run()
+        commits = sorted(
+            (node, proc.committed_value(), proc.commit_round)
+            for node, proc in out.result.processes.items()
+            if node in out.correct_nodes
+            and proc.committed_value() is not None
+        )
+        assert len(out.wrong_commits) == wrong
+        assert len(out.correct_nodes) == correct
+        assert out.result.rounds == rounds
+        assert out.result.trace.transmissions == messages
+        assert hashlib.sha256(repr(commits).encode()).hexdigest() == digest

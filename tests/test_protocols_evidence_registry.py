@@ -1,7 +1,11 @@
 """Tests for repro.protocols.evidence and repro.protocols.registry."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+import repro.protocols.evidence as evidence_module
+from repro.analysis.packing import PackingBudgetExceeded, has_packing_of_size
 from repro.errors import ConfigurationError
 from repro.geometry.metrics import LINF, get_metric
 from repro.grid.torus import Torus
@@ -73,6 +77,143 @@ class TestCenterIndex:
         idx = CenterIndex(1, LINF)
         idx.add("x", frozenset({(0, 0)}))
         assert idx.keys() == ["x"]
+
+
+#: local-frame points on a small patch, so chains overlap often
+_points = st.tuples(st.integers(-3, 3), st.integers(-3, 3))
+_metrics = st.sampled_from(["linf", "l1", "l2"])
+
+
+def _settled(chains, k):
+    """The commit rules' reading of ``has_packing_of_size``: a budget
+    overrun is "not yet"."""
+    try:
+        return has_packing_of_size(chains, k)
+    except PackingBudgetExceeded:
+        return False
+
+
+class TestShapeMemo:
+    """``CenterIndex.add`` takes covering centers from a memo keyed by the
+    chain's shape and shifts them back; covering is translation-invariant,
+    so that equals :func:`covering_centers` of the points themselves."""
+
+    @given(
+        st.lists(_points, min_size=1, max_size=4),
+        st.lists(_points, max_size=2),
+        st.integers(1, 3),
+        _metrics,
+    )
+    def test_memo_equals_covering_centers(self, chain, anchors, r, name):
+        metric = get_metric(name)
+        pts = sorted(set(chain)) + anchors
+        x0, y0 = pts[0]
+        shape = tuple((x - x0, y - y0) for x, y in pts)
+        shifted = [
+            (x0 + dx, y0 + dy)
+            for dx, dy in evidence_module._shape_centers(shape, r, metric)
+        ]
+        assert shifted == covering_centers(pts, r, metric)
+        idx = CenterIndex(r, metric)
+        idx.add("v", frozenset(chain), anchor_points=anchors)
+        registered = [center for _, center in idx.pop_dirty()]
+        assert sorted(registered) == sorted(shifted)
+        assert all(
+            frozenset(chain) in idx.chains_at("v", c) for c in registered
+        )
+
+
+class TestHasPacking:
+    """``CenterIndex.has_packing`` is the one commit check: it must equal
+    ``has_packing_of_size(chains_at(key, center), k)`` (an overrun read
+    as ``False``) whatever hitting sets earlier checks left behind."""
+
+    @given(
+        st.lists(
+            st.one_of(
+                st.tuples(
+                    st.just("add"),
+                    st.sampled_from("ab"),
+                    st.frozensets(_points, min_size=1, max_size=4),
+                    st.lists(_points, max_size=2),
+                ),
+                st.tuples(
+                    st.just("check"),
+                    st.integers(1, 5),
+                    st.lists(
+                        st.tuples(st.sampled_from("ab"), _points), max_size=3
+                    ),
+                ),
+            ),
+            max_size=30,
+        ),
+        st.integers(1, 2),
+        _metrics,
+    )
+    def test_equals_the_exact_predicate(self, ops, r, name):
+        idx = CenterIndex(r, get_metric(name))
+        for op in ops:
+            if op[0] == "add":
+                _, key, chain, anchors = op
+                idx.add(key, chain, anchor_points=anchors)
+                continue
+            _, k, extra = op
+            # the dirty pairs, as the protocols check them, plus a few
+            # arbitrary ones
+            for key, center in idx.pop_dirty() + extra:
+                expected = _settled(idx.chains_at(key, center), k)
+                assert idx.has_packing(key, center, k) == expected
+
+    @staticmethod
+    def _two_certificates():
+        """An index whose key "v" holds the hitting sets {(0,0)} (from
+        center (0,0)) and {(2,0)} (from center (2,0)), r=1."""
+        idx = CenterIndex(1, LINF)
+        for chain in ({(0, 0)}, {(0, 0), (-1, 0)}, {(2, 0)}, {(2, 0), (3, 0)}):
+            idx.add("v", frozenset(chain))
+        assert not idx.has_packing("v", (0, 0), 2)
+        assert not idx.has_packing("v", (2, 0), 2)
+        return idx
+
+    def test_union_of_size_k_does_not_refute(self):
+        """At (1,0) the union {(0,0), (2,0)} meets both chains, but it has
+        k = 2 nodes, which proves nothing: {(0,0)} and {(2,0)} pack."""
+        idx = self._two_certificates()
+        assert idx.chains_at("v", (1, 0)) == [
+            frozenset({(0, 0)}),
+            frozenset({(2, 0)}),
+        ]
+        assert idx.has_packing("v", (1, 0), 2)
+
+    def test_union_cut_to_the_neighborhood_answers(self, monkeypatch):
+        """At (0,1) only (0,0) of the union lies in the neighborhood; that
+        one node meets every chain there, so the check is settled without
+        a new hitting set."""
+        idx = self._two_certificates()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the cut union should have answered")
+
+        monkeypatch.setattr(evidence_module, "hitting_set", refuse)
+        monkeypatch.setattr(evidence_module, "find_set_packing", refuse)
+        assert not idx.has_packing("v", (0, 1), 2)
+
+    def test_budget_overrun_reads_false(self, monkeypatch):
+        def overrun(*args, **kwargs):
+            raise PackingBudgetExceeded("test")
+
+        monkeypatch.setattr(evidence_module, "find_set_packing", overrun)
+        idx = CenterIndex(1, LINF)
+        idx.add("v", frozenset({(0, 0)}))
+        idx.add("v", frozenset({(1, 0)}))
+        assert not idx.has_packing("v", (0, 0), 2)
+
+    def test_fewer_chains_than_k(self):
+        idx = CenterIndex(1, LINF)
+        idx.add("v", frozenset({(0, 0)}))
+        assert idx.has_packing("v", (0, 0), 1)
+        assert not idx.has_packing("v", (0, 0), 2)
+        assert not idx.has_packing("w", (0, 0), 1)
 
 
 class TestRegistry:

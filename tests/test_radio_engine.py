@@ -6,7 +6,9 @@ FIFO ordering, unforgeable sender identity, deterministic TDMA execution,
 and clean crash-stop semantics.
 """
 
+import gc
 import hashlib
+import weakref
 
 import pytest
 
@@ -499,3 +501,27 @@ class TestRegressionFixes:
         assert res.hit_message_limit
         # one tx per round: budget trips while draining round 3's outbox
         assert res.rounds == eng.round + 1 == res.trace.rounds == 4
+
+    def test_finished_engine_is_freed_without_the_cyclic_collector(self):
+        """Contexts reach the engine's state through a shared ``World``,
+        not the engine, so no Engine <-> Context cycle keeps a finished
+        trial alive until the cyclic GC runs; the result's processes
+        still answer afterwards."""
+        t = Torus.square(7, 1)
+        procs = correct_process_map(
+            t, "bv-two-hop", 1, (0, 0), 1, set(t.nodes())
+        )
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            eng = Engine(t, procs)
+            ctx = eng.context_of((3, 3))
+            res = eng.run()
+            alive = weakref.ref(eng)
+            del eng
+            assert alive() is None
+        finally:
+            if was_enabled:
+                gc.enable()
+        assert all(p.committed_value() == 1 for p in res.processes.values())
+        assert ctx.round == res.rounds - 1  # a context outlives its engine

@@ -1,7 +1,10 @@
 """Tests for repro.radio.node, repro.radio.trace and repro.radio.run."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from repro.grid.bounded import BoundedGrid
 from repro.grid.torus import Torus
 from repro.radio.engine import Engine
 from repro.radio.messages import Envelope
@@ -58,6 +61,38 @@ class TestNodeProcess:
         assert ctx.pending == 0
         ctx.broadcast("x")
         assert ctx.pending == 1
+
+
+#: any integer coordinate: negative, past the side, or canonical
+_coords = st.tuples(st.integers(-40, 40), st.integers(-40, 40))
+
+
+class TestContextLocalize:
+    """``Context.localize`` does the shortest-wrapped-delta arithmetic
+    inline; it must equal ``node + Torus.toroidal_delta(node, other)``."""
+
+    @given(
+        st.integers(1, 3),
+        st.integers(0, 5),
+        st.integers(0, 5),
+        _coords,
+        _coords,
+    )
+    def test_equals_node_plus_toroidal_delta(
+        self, r, extra_w, extra_h, node, other
+    ):
+        # sides from 2r+1 up: odd, even and non-square tori
+        torus = Torus(2 * r + 1 + extra_w, 2 * r + 1 + extra_h, r)
+        ctx = Engine(torus, {}).context_of(node)
+        home = torus.canonical(node)
+        assert ctx.node == home
+        dx, dy = torus.toroidal_delta(home, other)
+        assert ctx.localize(other) == (home[0] + dx, home[1] + dy)
+
+    @given(st.integers(1, 2), _coords)
+    def test_identity_on_a_bounded_grid(self, r, other):
+        ctx = Engine(BoundedGrid(6, 5, r), {}).context_of((2, 3))
+        assert ctx.localize(other) == other
 
 
 class TestTrace:
