@@ -34,6 +34,7 @@ from repro.faults.crash import dead_from_start, staggered_crashes
 from repro.faults.placement import trim_to_budget, validate_placement
 from repro.faults.random_faults import random_bounded_placement
 from repro.geometry.coords import Coord
+from repro.geometry.metrics import get_metric
 from repro.grid.factory import TOPOLOGY_KINDS, make_topology
 from repro.grid.topology import Topology
 from repro.grid.torus import Torus
@@ -189,7 +190,8 @@ def _resolve_topology(
     """The topology a scenario runs on.
 
     Either an explicit ``torus`` object (the legacy escape hatch: any
-    pre-built topology wins outright), or a square topology of the named
+    pre-built topology wins, but its ``r`` and metric must be the
+    scenario's), or a square topology of the named
     ``topology_kind`` (see :data:`repro.grid.factory.TOPOLOGY_KINDS`)
     with side ``torus_side`` or the placement-appropriate default (strip
     constructions need the wider two-strip torus).  ``seed`` pins the
@@ -205,6 +207,16 @@ def _resolve_topology(
             raise ConfigurationError(
                 f"both torus ({torus.width} wide) and torus_side="
                 f"{torus_side} given; pass one"
+            )
+        if torus.r != r:
+            raise ConfigurationError(
+                f"torus has r={torus.r} but the scenario asks for r={r}"
+            )
+        wanted = get_metric(metric).name
+        if torus.metric.name != wanted:
+            raise ConfigurationError(
+                f"torus has metric={torus.metric.name!r} but the scenario "
+                f"asks for metric={wanted!r}"
             )
         return torus
     if topology_kind not in TOPOLOGY_KINDS:
@@ -294,7 +306,8 @@ def byzantine_broadcast_scenario(
         budget deliberately (impossibility demonstrations run the strip at
         ``t`` equal to the bound while telling the protocol the same
         ``t``), or to trust a placement already maintained under budget
-        (explicit placements from :mod:`repro.adversary`).
+        (explicit placements from :mod:`repro.adversary`).  A random
+        placement is valid by construction and is never trimmed.
     topology_kind:
         A :data:`~repro.grid.factory.TOPOLOGY_KINDS` level; the strip
         placement is torus-only (the construction wraps).
@@ -321,7 +334,7 @@ def byzantine_broadcast_scenario(
             f"unknown placement {placement!r}; expected "
             '"strip", "random", or "explicit"'
         )
-    if enforce_budget:
+    if enforce_budget and placement != "random":
         faults = trim_to_budget(
             faults, t, r, metric=topology.metric, topology=topology, rng=rng
         )
@@ -433,6 +446,7 @@ def crash_broadcast_scenario(
     ``placement="strip"`` uses the Theorem 4 two-strip partition; trimmed
     to the budget when ``enforce_budget`` (yielding the Theorem 5
     achievable regime), untrimmed otherwise (the impossibility regime).
+    ``placement="random"`` is valid by construction and never trimmed.
     ``placement="explicit"`` runs the exact ``faults`` set (the
     adversary-search evaluation path); ``torus_side`` picks the square
     topology side.  ``staggered_max_round`` switches from dead-from-start
@@ -457,7 +471,7 @@ def crash_broadcast_scenario(
             f"unknown placement {placement!r}; expected "
             '"strip", "random", or "explicit"'
         )
-    if enforce_budget:
+    if enforce_budget and placement != "random":
         faults = trim_to_budget(
             faults, t, r, metric=topology.metric, topology=topology, rng=rng
         )

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import random
 from collections import defaultdict
+from operator import add
 from typing import (
     Callable,
     Dict,
@@ -72,10 +73,6 @@ def _ball_geometry(
     return None, canonical, lambda p: closed_ball_points(m, p, r, topology)
 
 
-def _zero_counts(stencil: Optional[TorusStencil]) -> Counts:
-    return [0] * stencil.size if stencil is not None else defaultdict(int)
-
-
 def _count(
     faulty: Iterable[Coord],
     stencil: Optional[TorusStencil],
@@ -83,7 +80,9 @@ def _count(
     ball: Callable[[Coord], list],
 ) -> Counts:
     """Faults per closed-ball center, each distinct fault counted once."""
-    counts = _zero_counts(stencil)
+    counts: Counts = (
+        [0] * stencil.size if stencil is not None else defaultdict(int)
+    )
     # sorted so a dict counter's insertion order is canonical even when
     # ``faulty`` arrives as a set (counts are order-free, but downstream
     # iteration over the result should not vary per run)
@@ -215,6 +214,54 @@ def trim_to_budget(
             current.discard(ranked[0])
 
 
+def _check_target_count(target_count: Optional[int]) -> None:
+    if target_count is not None and target_count < 0:
+        raise ValueError(f"target_count must be >= 0, got {target_count}")
+
+
+def _greedy_on_mask(
+    order: List[int],
+    t: int,
+    stencil: TorusStencil,
+    rng: random.Random,
+    target_count: Optional[int],
+) -> Set[Coord]:
+    """The greedy placement on a torus, over flat candidate indices.
+
+    ``blocked[i]`` is set once ``i`` is chosen or a closed ball covering
+    ``i`` holds ``t`` faults, so a candidate costs one lookup instead of
+    a scan of its ball's counts.  Balls on a torus are symmetric (``c``
+    covers ``i`` exactly when ``i`` lies in ``c``'s ball) and counts
+    grow by one, so marking a center's ball the moment its count reaches
+    ``t`` keeps the mask exact.
+    """
+    _check_target_count(target_count)
+    rng.shuffle(order)  # its draws depend only on len(order)
+    if t <= 0:
+        return set()  # every ball is already full
+    height, x_flat, y_wrap = stencil.height, stencil.x_flat, stencil.y_wrap
+    counts = [0] * stencil.size
+    blocked = bytearray(stencil.size)
+    chosen: List[int] = []
+    for i in order:
+        if blocked[i]:
+            continue
+        if len(chosen) == target_count:  # never true for None
+            break
+        chosen.append(i)
+        blocked[i] = 1
+        x, y = divmod(i, height)
+        for c in (*map(add, x_flat[x], y_wrap[y]), i):
+            n = counts[c] + 1
+            counts[c] = n
+            if n == t:
+                cx, cy = divmod(c, height)
+                for b in map(add, x_flat[cx], y_wrap[cy]):
+                    blocked[b] = 1
+                blocked[c] = 1
+    return {(i // height, i % height) for i in chosen}
+
+
 def greedy_random_placement(
     candidates: Sequence[Coord],
     t: int,
@@ -227,17 +274,28 @@ def greedy_random_placement(
     """A random maximal (or ``target_count``-sized) valid placement.
 
     Visits ``candidates`` in random order and keeps each fault that does
-    not break the budget.  Incremental counting makes this
+    not break the budget, so the result never needs a trim.  On a torus
+    a flat mask of saturated balls makes a candidate one lookup;
+    elsewhere incremental counting makes this
     ``O(|candidates| * |ball|)``.
     """
     if rng is None:
         rng = random.Random(
             derive_seed(0, "repro.faults.placement.greedy_random_placement", 0)
         )
+    stencil, canonical, ball = _ball_geometry(r, metric, topology)
+    if stencil is not None:
+        # flat() canonicalizes, so wrapped aliases and repeats of a
+        # chosen node meet its mark
+        order = list(map(stencil.flat, candidates))
+        return _greedy_on_mask(order, t, stencil, rng, target_count)
+    # Off a torus a ball is truncated at the boundary and candidates may
+    # lie off the grid, so the balls covering a node are not the ball
+    # around it: count, and scan the node's ball per candidate.
+    _check_target_count(target_count)
     order = list(candidates)
     rng.shuffle(order)
-    stencil, canonical, ball = _ball_geometry(r, metric, topology)
-    counts = _zero_counts(stencil)
+    counts: Dict[Coord, int] = defaultdict(int)
     count_of = counts.__getitem__
     full = t.__le__  # a ball holding t faults takes no more
     chosen: Set[Coord] = set()
@@ -248,9 +306,9 @@ def greedy_random_placement(
         centers = ball(node)
         if any(map(full, map(count_of, centers))):
             continue
+        if len(chosen) == target_count:
+            break
         chosen.add(node)
         for c in centers:
             counts[c] += 1
-        if target_count is not None and len(chosen) >= target_count:
-            break
     return chosen

@@ -18,7 +18,7 @@ import random
 from typing import Optional, Set
 
 from repro.exec.seeds import derive_seed
-from repro.faults.placement import greedy_random_placement
+from repro.faults.placement import _greedy_on_mask, greedy_random_placement
 from repro.geometry.coords import Coord
 from repro.grid.topology import Topology
 
@@ -66,6 +66,15 @@ def random_bounded_placement(
                 0, "repro.faults.random_faults.random_bounded_placement", 0
             )
         )
+    stencil = topology.ball_stencil(topology.r, topology.metric)
+    if stencil is not None:
+        # the flat indices of ``Torus.nodes()``, y outer and x inner: the
+        # shuffle permutes positions, so this order fixes the placement
+        h, src = stencil.height, stencil.flat(protect)
+        order = [
+            i for y in range(h) for i in range(y, stencil.size, h) if i != src
+        ]
+        return _greedy_on_mask(order, t, stencil, rng, target_count)
     src = topology.canonical(protect)
     candidates = [n for n in topology.nodes() if n != src]
     return greedy_random_placement(

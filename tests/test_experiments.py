@@ -9,6 +9,7 @@ from repro.experiments.scenarios import (
     BroadcastScenario,
     byzantine_broadcast_scenario,
     crash_broadcast_scenario,
+    mixed_broadcast_scenario,
     recommended_torus,
     strip_torus,
 )
@@ -108,6 +109,27 @@ class TestScenarioBuilders:
         )
         out = sc.run()
         assert out.achieved
+
+    @pytest.mark.parametrize(
+        "builder",
+        [
+            byzantine_broadcast_scenario,
+            crash_broadcast_scenario,
+            mixed_broadcast_scenario,
+        ],
+    )
+    def test_explicit_torus_must_match_r_and_metric(self, builder):
+        wrong_r = Torus.square(13, 1)
+        with pytest.raises(ConfigurationError, match="r=1.*r=2"):
+            builder(r=2, t=1, placement="random", torus=wrong_r, seed=3)
+        linf = Torus.square(13, 2)
+        with pytest.raises(ConfigurationError, match="'linf'.*'l2'"):
+            builder(r=2, t=1, placement="random", metric="l2", torus=linf)
+        # metrics compare by name, so an alias of the torus's metric fits
+        sc = builder(
+            r=2, t=1, placement="random", metric="chebyshev", torus=linf
+        )
+        assert sc.topology is linf
 
     def test_crash_staggered(self):
         sc = crash_broadcast_scenario(r=1, t=2, staggered_max_round=3)

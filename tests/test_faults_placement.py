@@ -9,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.errors import InvalidPlacementError
+from repro.experiments.scenarios import crash_broadcast_scenario
 from repro.faults.constructions import (
     torus_byzantine_strip,
     torus_crash_partition,
@@ -22,7 +23,9 @@ from repro.faults.placement import (
     validate_placement,
 )
 from repro.faults.random_faults import random_bounded_placement
+from repro.geometry.metrics import get_metric
 from repro.grid.bounded import BoundedGrid
+from repro.grid.factory import make_topology
 from repro.grid.torus import Torus
 from tests.test_geometry_balls import _oracle_closed_ball
 
@@ -157,6 +160,41 @@ class TestGreedyRandom:
         placed = greedy_random_placement([(0, 0), (1, 1)], 0, 1)
         assert placed == set()
 
+    def test_target_count_zero_places_nothing(self):
+        """Both loops check the count before accepting a node, and the
+        shuffle still runs, so the generator ends as after a t=0 call."""
+        torus = Torus.square(11, 1)
+        box = [(x, y) for x in range(-3, 4) for y in range(-3, 4)]
+        for topology, candidates in (
+            (torus, list(torus.nodes())),
+            (None, box),
+        ):
+            rng, rng_t0 = random.Random(0), random.Random(0)
+            placed = greedy_random_placement(
+                candidates, 3, 1, topology=topology, rng=rng, target_count=0
+            )
+            assert placed == set()
+            greedy_random_placement(
+                candidates, 0, 1, topology=topology, rng=rng_t0
+            )
+            assert rng.getstate() == rng_t0.getstate()
+        rng, rng_t0 = random.Random(0), random.Random(0)
+        assert random_bounded_placement(torus, 3, rng, target_count=0) == set()
+        random_bounded_placement(torus, 0, rng_t0)
+        assert rng.getstate() == rng_t0.getstate()
+
+    def test_negative_target_count_rejected(self):
+        torus = Torus.square(11, 1)
+        with pytest.raises(ValueError, match="target_count"):
+            random_bounded_placement(
+                torus, 3, random.Random(0), target_count=-2
+            )
+        for topology in (torus, None):
+            with pytest.raises(ValueError, match="target_count"):
+                greedy_random_placement(
+                    [(0, 0), (5, 5)], 3, 1, topology=topology, target_count=-1
+                )
+
     def test_maximality(self):
         """No remaining candidate could be added without violation."""
         candidates = [(x, y) for x in range(-4, 5) for y in range(-4, 5)]
@@ -268,17 +306,20 @@ class TestStencilParity:
             nodes = sorted(torus.nodes())
             for t in (0, 1, 3, 6):
                 for seed in range(3):
+                    rng_got = random.Random(seed)
+                    rng_want = random.Random(seed)
                     got = greedy_random_placement(
-                        nodes, t, r, metric, torus, random.Random(seed),
+                        nodes, t, r, metric, torus, rng_got,
                         target_count=target_count,
                     )
                     want = _oracle_greedy(
-                        nodes, t, r, metric, torus, random.Random(seed),
+                        nodes, t, r, metric, torus, rng_want,
                         target_count=target_count,
                     )
                     assert got == want
                     # same insertion sequence, hence same set order
                     assert list(got) == list(want)
+                    assert rng_got.getstate() == rng_want.getstate()
 
     @pytest.mark.parametrize("metric", METRICS)
     def test_greedy_duplicate_and_wrapped_candidates(self, metric):
@@ -287,13 +328,13 @@ class TestStencilParity:
         # every node three times: as itself, repeated, and one lap out
         candidates = nodes + nodes[::2] + [(x - 7, y + 9) for x, y in nodes]
         for seed in range(5):
+            rng_got, rng_want = random.Random(seed), random.Random(seed)
             got = greedy_random_placement(
-                candidates, 2, 1, metric, torus, random.Random(seed)
+                candidates, 2, 1, metric, torus, rng_got
             )
-            want = _oracle_greedy(
-                candidates, 2, 1, metric, torus, random.Random(seed)
-            )
+            want = _oracle_greedy(candidates, 2, 1, metric, torus, rng_want)
             assert list(got) == list(want)
+            assert rng_got.getstate() == rng_want.getstate()
 
     def test_greedy_off_torus_matches_oracle(self):
         grid = BoundedGrid(9, 7, 2)
@@ -357,6 +398,66 @@ class TestStencilParity:
         assert list(got) == list(want)
 
 
+@st.composite
+def _torus_placements(draw):
+    """A torus (square or not, sides 2r+1 .. 4r+5), a budget from 0 to
+    the closed-ball size, a protected node and a seed."""
+    metric = draw(st.sampled_from(METRICS))
+    r = draw(st.integers(1, 3))
+    width = draw(st.integers(2 * r + 1, 4 * r + 5))
+    height = draw(st.integers(2 * r + 1, 4 * r + 5))
+    t = draw(st.integers(0, len(get_metric(metric).offsets(r)) + 1))
+    protect = (
+        draw(st.integers(0, width - 1)),
+        draw(st.integers(0, height - 1)),
+    )
+    seed = draw(st.integers(0, 99))
+    return Torus(width, height, r, metric), t, protect, seed
+
+
+class TestRandomPlacementProperties:
+    @given(_torus_placements())
+    def test_valid_maximal_and_untouched_by_trim(self, case):
+        torus, t, protect, seed = case
+        r, metric = torus.r, torus.metric
+        placed = random_bounded_placement(
+            torus, t, random.Random(seed), protect=protect
+        )
+        assert protect not in placed
+        assert is_valid_placement(placed, t, r, metric, torus)
+        counts = fault_counts_per_nbd(placed, r, metric, torus)
+        for node in torus.nodes():
+            if node in placed or node == protect:
+                continue
+            ball = _oracle_closed_ball(metric, node, r, torus)
+            assert any(counts.get(c, 0) >= t for c in ball), node
+        # valid by construction: the trim the builders skip is a no-op
+        # that draws nothing
+        rng = random.Random(seed)
+        state = rng.getstate()
+        assert trim_to_budget(placed, t, r, metric, torus, rng=rng) == placed
+        assert rng.getstate() == state
+
+    @pytest.mark.parametrize("kind", ["bounded", "rgg"])
+    def test_untouched_by_trim_off_torus(self, kind):
+        """Truncated balls keep the count-and-scan loop, which never lets
+        a count pass ``t`` either, so the builders skip the trim there
+        too."""
+        for metric in METRICS:
+            topology = make_topology(kind, 13, 2, metric, seed=5)
+            for t in (1, 3, 6):
+                placed = random_bounded_placement(
+                    topology, t, random.Random(t)
+                )
+                rng = random.Random(t)
+                state = rng.getstate()
+                trimmed = trim_to_budget(
+                    placed, t, 2, metric, topology, rng=rng
+                )
+                assert trimmed == placed
+                assert rng.getstate() == state
+
+
 class TestGoldenPlacements:
     """``sha256(json(sorted(random_bounded_placement(...))))`` pinned as
     literals, so a change in RNG draw order or candidate order fails
@@ -372,13 +473,58 @@ class TestGoldenPlacements:
         (13, 11, 0): "c9ddd9695abedc3889b38597d03e5175369b4997ce35929f55fb64d0a66c192d",
         (13, 11, 1): "42157c9fe2cfbe493bbd54201e0b810988c2976813ef169bb7c15f3257bb7171",
         (13, 11, 2): "9ed76ba3b96871c7bdc94e7655b80177202bc2e4159cf2e905c52048d0753fb5",
+        (100, 3, 0): "b20c9777e2a2f2f21ddf6bf9bdc37c8a41a6fc7db7b44ae749ce123c8a6c069d",
         (100, 7, 0): "929f8dbd760a87362eae9e0e3eb88f0b9f390bd36eb3945eb8443a78e9ef71cf",
+        (100, 11, 0): "12c77ff86f56105c383a12ced365dabb2ca6229742574c749f22f3af9d11499e",
     }
+
+    #: ``(metric, r, side, t, seed)``: other metrics and radii
+    GOLDEN_SHAPES = {
+        ("l1", 1, 7, 2, 0): "bcae89eaf3474400369f3623cb394bdccc55a8706a6341e75b18fa896bb162ec",
+        ("l1", 2, 13, 3, 0): "b12bdff926187818491830d05dda23263c4da08b9e47763f2bf296526486e5de",
+        ("l1", 2, 13, 6, 1): "d9020407daa891e5029d579c05ea14003f3bdf1fa8dfcc35787fb57b79e7da82",
+        ("l1", 3, 19, 5, 0): "90a2602fd9a3e1ae0d3d268f65c39103f5cb070b9b5de81ecef7e1ecea21f1f0",
+        ("l2", 1, 7, 3, 0): "eb120e95487a6b4867588f03346fc1dc4880431f7572c21806c490fe50d77b79",
+        ("l2", 2, 13, 7, 1): "51a324d4e82e1d43f39183e825f181df7ea47716338e9060763104d3f041ef7a",
+        ("l2", 3, 19, 9, 0): "a104a4426b9f8a5b58e9a089c157f00cbc397c38d43324308f2a32d7c27925c5",
+        ("l2", 3, 23, 13, 2): "8f57e83bb5884ce20461162807b161c408fed63c57163541e5f5cc105ef53077",
+        ("linf", 1, 7, 2, 0): "127de8cd8d9c090e2834b149616d0926d2286775d46ce84ac24ac10dfb66530e",
+        ("linf", 3, 19, 5, 0): "a0c7e3b79e7b3ec9e2cf2fb2a9dc05ac7f37f27213e394f1f91616f3b4a99520",
+    }
+
+    #: seed -> ``sha256(json(sorted(crash_round.items())))`` of
+    #: ``crash_broadcast_scenario(r=2, t=3, placement="random",
+    #: staggered_max_round=4)``: the rounds are drawn from the same
+    #: generator right after the placement
+    GOLDEN_CRASH_ROUNDS = {
+        0: "dc74d152574f434d4314e93a949360fe467f63bb75ad7cb9ecb791b7af135e0c",
+        1: "048ed1a17d0b8bcb68c5e91200bf4836ad89a45ccabf5e0c9758f69c42f64d05",
+        2: "85c983bdee1fb9d679f2061ddf7b50c586477c65acb02392db41c5ea34586756",
+    }
+
+    @staticmethod
+    def _digest(value) -> str:
+        return hashlib.sha256(json.dumps(value).encode()).hexdigest()
 
     @pytest.mark.parametrize("side,t,seed", sorted(GOLDEN))
     def test_placement_digest(self, side, t, seed):
         faults = random_bounded_placement(
             Torus.square(side, 2), t, rng=random.Random(seed)
         )
-        blob = json.dumps(sorted(faults)).encode()
-        assert hashlib.sha256(blob).hexdigest() == self.GOLDEN[(side, t, seed)]
+        assert self._digest(sorted(faults)) == self.GOLDEN[(side, t, seed)]
+
+    @pytest.mark.parametrize("metric,r,side,t,seed", sorted(GOLDEN_SHAPES))
+    def test_shape_digest(self, metric, r, side, t, seed):
+        faults = random_bounded_placement(
+            Torus.square(side, r, metric), t, rng=random.Random(seed)
+        )
+        want = self.GOLDEN_SHAPES[(metric, r, side, t, seed)]
+        assert self._digest(sorted(faults)) == want
+
+    @pytest.mark.parametrize("seed", sorted(GOLDEN_CRASH_ROUNDS))
+    def test_staggered_crash_rounds(self, seed):
+        sc = crash_broadcast_scenario(
+            r=2, t=3, placement="random", staggered_max_round=4, seed=seed
+        )
+        rounds = sorted(sc.crash_round.items())
+        assert self._digest(rounds) == self.GOLDEN_CRASH_ROUNDS[seed]
