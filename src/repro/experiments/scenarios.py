@@ -150,6 +150,7 @@ class BroadcastScenario:
                 observers=observers,
                 profiler=profiler,
             )
+        correct = self.correct_nodes
         processes: Dict[Coord, NodeProcess] = dict(self.byzantine_processes)
         processes.update(
             correct_process_map(
@@ -158,7 +159,7 @@ class BroadcastScenario:
                 self.t,
                 self.source,
                 self.value,
-                self.correct_nodes,
+                correct,
                 **self.protocol_kwargs,
             )
         )
@@ -166,7 +167,7 @@ class BroadcastScenario:
             self.topology,
             processes,
             self.value,
-            self.correct_nodes,
+            correct,
             crash_round=self.crash_round,
             max_rounds=self.max_rounds,
             max_messages=self.max_messages,

@@ -1,7 +1,7 @@
 """The closed-ball stencil of a torus: one ball geometry for every layer.
 
 Fault counting (placement, trim, the adversary's budget), the reference
-engine's neighbor map and the fastpath
+engine's receiver table and the fastpath
 :class:`~repro.radio.fastpath.lattice.Lattice` all walk the same
 radius-``r`` balls on the same torus.  A :class:`TorusStencil` is that
 geometry, defined once:

@@ -51,13 +51,19 @@ def make_protocol(
     ``kwargs`` pass through to the protocol constructor (e.g.
     ``max_relays`` for ``bv-indirect``).
     """
+    return _protocol_class(name)(
+        t, source, source_value=source_value, metric=metric, **kwargs
+    )
+
+
+def _protocol_class(name: str) -> Type[BroadcastProtocolNode]:
+    """The registered class of protocol ``name``."""
     try:
-        cls = PROTOCOLS[name]
+        return PROTOCOLS[name]
     except KeyError:
         raise ConfigurationError(
             f"unknown protocol {name!r}; known: {sorted(PROTOCOLS)}"
         ) from None
-    return cls(t, source, source_value=source_value, metric=metric, **kwargs)
 
 
 def correct_process_map(
@@ -74,20 +80,21 @@ def correct_process_map(
     Faulty nodes are simply absent from the returned map -- the scenario
     builder overlays their adversarial processes.
     """
-    src = topology.canonical(source)
+    cls = _protocol_class(protocol)
+    canonical = topology.canonical
+    metric = topology.metric
+    src = canonical(source)
     processes: Dict[Coord, BroadcastProtocolNode] = {}
     # correct_nodes is typically a set; build in sorted order so the
     # map's iteration order (and any rng consumed per process in the
     # future) cannot depend on hash seeding
     for node in sorted(correct_nodes):
-        cn = topology.canonical(node)
-        source_value = value if cn == src else None
-        processes[cn] = make_protocol(
-            protocol,
+        cn = canonical(node)
+        processes[cn] = cls(
             t,
             src,
-            source_value=source_value,
-            metric=topology.metric,
+            source_value=value if cn == src else None,
+            metric=metric,
             **kwargs,
         )
     return processes

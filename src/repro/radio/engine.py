@@ -15,6 +15,13 @@ Determinism: given the same topology, schedule, processes and crash map,
 two runs produce identical traces.  Randomized adversaries draw from their
 own seeded generators, never from global state.
 
+State comes in two halves.  The wiring (node order, each node's receivers
+and the TDMA slots, all as flat node indices) depends only on the
+topology and schedule; one is shared per torus shape under the default
+schedule and built per engine otherwise.  Per-trial state (processes,
+contexts, the dead mask) lives in lists addressed by those indices, so a
+delivery is a list lookup rather than a coordinate hash.
+
 Crash-stop faults live here: a node with ``crash_round[v] = k`` executes
 correctly during rounds ``0 .. k-1`` and is inert from round ``k`` on (it
 neither transmits -- its outbox is discarded -- nor processes receptions).
@@ -28,8 +35,12 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from functools import lru_cache
+from itertools import product
+from operator import add
 from typing import (
     Any,
+    Callable,
     Deque,
     Dict,
     List,
@@ -44,8 +55,10 @@ from typing import (
 from repro.errors import ConfigurationError, SimulationLimitError
 from repro.radio.channel import PERFECT_CHANNEL, ChannelImperfections
 from repro.geometry.coords import Coord
+from repro.grid.stencil import torus_stencil
 from repro.grid.tdma import TDMASchedule, make_schedule
 from repro.grid.topology import Topology
+from repro.grid.torus import Torus
 from repro.radio.messages import Envelope
 from repro.radio.node import Context, NodeProcess, SilentProcess, World
 from repro.radio.trace import Trace
@@ -92,6 +105,92 @@ class SimulationResult:
         return sorted(n for n, p in self.processes.items() if not p.is_decided())
 
 
+class _Wiring:
+    """Who hears whom and who sends when, on flat node indices.
+
+    The trial-invariant half of an engine, for one topology and schedule:
+
+    - ``nodes``: the canonical nodes in ``topology.neighbor_map()`` order
+      (flat order ``x * height + y`` on a torus, i.e. sorted order);
+    - ``receivers[i]``: node ``i``'s neighborhood as node indices, in
+      ball order;
+    - ``slots``: ``schedule.slots`` as node indices, slot order and
+      in-slot order kept;
+    - ``schedule``: the :class:`~repro.grid.tdma.TDMASchedule` itself;
+    - ``index(p)``: the index of node ``p``, or ``None`` when ``p`` is
+      not a node as given (a torus wiring reduces ``p`` first).
+
+    It holds nothing a trial creates, so :func:`_torus_wiring` shares
+    one per torus shape across engines.
+    """
+
+    __slots__ = ("nodes", "receivers", "slots", "schedule", "index")
+
+    def __init__(
+        self,
+        nodes: List[Coord],
+        receivers: List[Tuple[int, ...]],
+        schedule: TDMASchedule,
+        index: Callable[[Coord], Optional[int]],
+    ) -> None:
+        for node in nodes:
+            if node not in schedule:
+                raise ConfigurationError(f"schedule misses node {node}")
+        slots = []
+        for group in schedule.slots:
+            ids = tuple(map(index, group))
+            if None in ids:
+                stray = group[ids.index(None)]
+                raise ConfigurationError(f"schedule names non-node {stray}")
+            slots.append(ids)
+        self.nodes = nodes
+        self.receivers = receivers
+        self.slots: Tuple[Tuple[int, ...], ...] = tuple(slots)
+        self.schedule = schedule
+        self.index = index
+
+    @classmethod
+    def of(cls, topology: Topology, schedule: TDMASchedule) -> "_Wiring":
+        """The wiring of any finite topology, from its neighbor map."""
+        neighbors = topology.neighbor_map()
+        position = {node: i for i, node in enumerate(neighbors)}
+        at = position.__getitem__
+        receivers = [tuple(map(at, ball)) for ball in neighbors.values()]
+        return cls(list(neighbors), receivers, schedule, position.get)
+
+
+@lru_cache(maxsize=4)
+def _torus_wiring(width: int, height: int, r: int, metric: str) -> _Wiring:
+    """The shared wiring of one torus shape under the default schedule.
+
+    Built from the :class:`~repro.grid.stencil.TorusStencil` tables in
+    the order of :meth:`~repro.grid.stencil.TorusStencil.neighbor_map`,
+    with every index taken from one ``range`` list so the receiver
+    table holds one int object per node.  A coordinate is indexed by
+    the stencil's flat arithmetic; no coordinate map is kept.  Keyed by
+    plain data (``metric`` is a name), like
+    :func:`~repro.grid.stencil.torus_stencil`.
+    """
+    stencil = torus_stencil(width, height, r, metric)
+    at = list(range(stencil.size)).__getitem__
+    receivers = [
+        tuple(map(at, map(add, xf, yw)))
+        for xf in stencil.x_flat
+        for yw in stencil.y_wrap
+    ]
+
+    def index(p: Coord) -> int:
+        # TorusStencil.flat, inline
+        return at((int(p[0]) % width) * height + int(p[1]) % height)
+
+    return _Wiring(
+        list(product(range(width), range(height))),
+        receivers,
+        make_schedule(Torus(width, height, r, metric)),
+        index,
+    )
+
+
 class Engine:
     """Deterministic synchronous-round radio network simulator."""
 
@@ -121,12 +220,16 @@ class Engine:
         processes:
             Node -> program.  Nodes of the topology absent from the mapping
             run :class:`~repro.radio.node.SilentProcess` (useful for
-            analytic setups); keys not on the topology are an error.
+            analytic setups); keys not on the topology and ``None``
+            programs are an error.  Keys may be non-canonical; when two
+            keys name one node, the later one wins.
         schedule:
             TDMA schedule; defaults to
-            :func:`repro.grid.tdma.make_schedule`.
+            :func:`repro.grid.tdma.make_schedule`.  It must give every
+            node a slot and name no non-node.
         crash_round:
-            Crash-stop fault map (see module docstring).
+            Crash-stop fault map (see module docstring); keys not on the
+            topology are an error.
         max_rounds / max_messages:
             Safety valves.  With ``on_limit="stop"`` (default) a tripped
             valve ends the run with the corresponding flag set on the
@@ -173,40 +276,59 @@ class Engine:
         if max_rounds < 1:
             raise ConfigurationError(f"max_rounds must be >= 1, got {max_rounds}")
         self.topology = topology
-        self._neighbors: Dict[Coord, Tuple[Coord, ...]] = (
-            topology.neighbor_map()
-        )
-        self._all_nodes: List[Coord] = list(self._neighbors)
-        for node in processes:
-            if topology.canonical(node) not in self._neighbors:
-                raise ConfigurationError(f"process given for non-node {node}")
-        # explicit None check: a process whose class defines a falsy
-        # __bool__/__len__ is still a real process, not a silent node
-        self.processes: Dict[Coord, NodeProcess] = {}
-        for node in self._all_nodes:
-            given = processes.get(node)
-            self.processes[node] = SilentProcess() if given is None else given
-        # accept processes keyed by non-canonical coordinates
+        if schedule or not isinstance(topology, Torus):
+            wiring = _Wiring.of(topology, schedule or make_schedule(topology))
+        else:
+            wiring = _torus_wiring(
+                topology.width,
+                topology.height,
+                topology.r,
+                topology.metric.name,
+            )
+        self._wiring = wiring
+        self.schedule = wiring.schedule
+        nodes = wiring.nodes
+        # per-trial state lives in lists addressed by node index
+        procs: List[Optional[NodeProcess]] = [None] * len(nodes)
         for node, proc in processes.items():
-            self.processes[topology.canonical(node)] = proc
-        self.schedule = schedule or make_schedule(topology)
-        for node in self._all_nodes:
-            if node not in self.schedule:
-                raise ConfigurationError(f"schedule misses node {node}")
-        self.crash_round: Dict[Coord, int] = {}
+            i = self._index_of(node)
+            if i is None:
+                raise ConfigurationError(f"process given for non-node {node}")
+            # explicit None check: a process whose class defines a falsy
+            # __bool__/__len__ is still a real process, not a silent node
+            if proc is None:
+                raise ConfigurationError(f"process given for {node} is None")
+            procs[i] = proc
+        self._procs: List[NodeProcess] = [
+            SilentProcess() if proc is None else proc for proc in procs
+        ]
+        self.processes: Dict[Coord, NodeProcess] = dict(
+            zip(nodes, self._procs)
+        )
+        crashes: Dict[int, int] = {}
         for node, rnd in (crash_round or {}).items():
             if rnd < 0:
                 raise ConfigurationError(
                     f"crash round for {node} must be >= 0, got {rnd}"
                 )
-            self.crash_round[topology.canonical(node)] = int(rnd)
-        #: crash schedule in round order, drained into ``_dead`` as the
-        #: rounds reach it
-        self._crash_schedule: Deque[Tuple[Coord, int]] = deque(
-            sorted(self.crash_round.items(), key=lambda item: item[1])
+            i = self._index_of(node)
+            if i is None:
+                raise ConfigurationError(
+                    f"crash round given for non-node {node}"
+                )
+            crashes[i] = int(rnd)
+        self.crash_round: Dict[Coord, int] = {
+            nodes[i]: rnd for i, rnd in crashes.items()
+        }
+        #: ``(round, node index)`` in round order, drained into ``_dead``
+        #: as the rounds reach it
+        self._crash_schedule: Deque[Tuple[int, int]] = deque(
+            sorted((rnd, i) for i, rnd in crashes.items())
         )
-        #: nodes crashed by the current round (``_is_crashed`` at it)
-        self._dead: Set[Coord] = set()
+        #: ``_dead[i]`` once node ``i`` has crashed by the current round
+        #: (``_is_crashed`` at it); ``_any_dead`` once any has
+        self._dead = bytearray(len(nodes))
+        self._any_dead = False
         self.max_rounds = max_rounds
         self.max_messages = max_messages
         self._on_limit = on_limit
@@ -233,9 +355,9 @@ class Engine:
         self._jammers_this_round: Set[Coord] = self._world.jammers
         self.trace = Trace(record_events=record_events)
         self._seq = 0
-        self._contexts: Dict[Coord, Context] = {
-            node: Context(node, self._world) for node in self._all_nodes
-        }
+        self._contexts: List[Context] = [
+            Context(node, self._world) for node in nodes
+        ]
         self._started = False
         self._observers: Tuple["EngineObserver", ...] = tuple(observers or ())
         self._profiler = profiler
@@ -257,16 +379,33 @@ class Engine:
     def round(self, value: int) -> None:
         self._world.round = value
 
+    def _index_of(self, node: Coord) -> Optional[int]:
+        """The index of the node ``node`` names in any coordinate form,
+        or ``None`` when it names no node."""
+        index = self._wiring.index
+        i = index(node)
+        return index(self.topology.canonical(node)) if i is None else i
+
     def context_of(self, node: Coord) -> Context:
         """The context object of a node (post-mortem inspection)."""
-        return self._contexts[self.topology.canonical(node)]
+        i = self._index_of(node)
+        if i is None:
+            raise KeyError(node)
+        return self._contexts[i]
 
     def _is_crashed(self, node: Coord, at_round: int) -> bool:
         """Whether ``node`` has crashed by ``at_round``.  The round loop
-        tests ``_dead`` instead; this serves ``_start``, the end-of-round
+        and ``_start`` test ``_dead`` instead; this serves the end-of-round
         flush and the quiescence look-ahead."""
         rnd = self.crash_round.get(node)
         return rnd is not None and at_round >= rnd
+
+    def _mark_crashes(self, round_: int) -> None:
+        """Mark in ``_dead`` every node crashed by ``round_``."""
+        crashes = self._crash_schedule
+        while crashes and crashes[0][0] <= round_:
+            self._dead[crashes.popleft()[1]] = 1
+            self._any_dead = True
 
     def _announce_crash(self, node: Coord, round_: int) -> None:
         """Record a crash exactly once in the trace and to observers."""
@@ -285,10 +424,10 @@ class Engine:
         round, in canonical node order, so commit events are emitted
         deterministically and at round granularity.
         """
-        for node in self._all_nodes:
+        for node, proc in zip(self._wiring.nodes, self._procs):
             if node in self._decided:
                 continue
-            value = self.processes[node].committed_value()
+            value = proc.committed_value()
             if value is not None:
                 self._decided.add(node)
                 for obs in self._observers:
@@ -298,38 +437,47 @@ class Engine:
         self._started = True
         for obs in self._observers:
             obs.on_run_start(self)
-        for node in self._all_nodes:
-            if self._is_crashed(node, 0):
+        self._mark_crashes(0)
+        for ctx, proc, gone in zip(self._contexts, self._procs, self._dead):
+            if gone:
                 # dead from the start: never runs a single instruction
-                self._announce_crash(node, 0)
+                self._announce_crash(ctx.node, 0)
                 continue
-            self.processes[node].on_start(self._contexts[node])
+            proc.on_start(ctx)
         if self._observers:
             # commits made during on_start are reported at round -1
             self._sweep_commits()
 
-    def _is_jammed(self, receiver: Coord) -> bool:
-        """Whether a receiver is inside any active jammer's radius (or is
-        itself jamming -- a transmitting radio cannot listen)."""
-        if receiver in self._jammers_this_round:
+    def _is_jammed(self, receiver: int) -> bool:
+        """Whether node ``receiver`` (an index) is inside any active
+        jammer's radius (or is itself jamming -- a transmitting radio
+        cannot listen)."""
+        wiring = self._wiring
+        if wiring.nodes[receiver] in self._jammers_this_round:
             return True
         return any(
-            receiver in self._neighbors[j]
+            receiver in wiring.receivers[wiring.index(j)]
             for j in sorted(self._jammers_this_round)
         )
 
-    def _transmit(self, node: Coord, slot: int) -> bool:
-        """Drain ``node``'s outbox in its slot.  Returns False when the
-        message budget tripped; every on-air copy counts against it."""
-        outbox = self._contexts[node]._outbox
-        receivers = self._neighbors[node]
+    def _transmit(self, node: int, slot: int) -> bool:
+        """Drain node ``node``'s (an index) outbox in its slot.  Returns
+        False when the message budget tripped; every on-air copy counts
+        against it."""
+        nodes = self._wiring.nodes
+        receivers = self._wiring.receivers[node]
         contexts = self._contexts
-        processes = self.processes
+        outbox = contexts[node]._outbox
+        processes = self._procs
         observers = self._observers
+        # observers see coordinates; the channel itself runs on indices
+        fanout = tuple(map(nodes.__getitem__, receivers)) if observers else ()
+        me = nodes[node]
         trace = self.trace
         limit = self.max_messages
-        round_ = self.round
+        round_ = self._world.round
         dead = self._dead
+        any_dead = self._any_dead
         jammers = self._jammers_this_round
         is_jammed = self._is_jammed
         loss_rng = self._loss_rng
@@ -339,7 +487,7 @@ class Engine:
         prof = self._profiler
         while outbox:
             payload, claimed = outbox.popleft()
-            sender = node if claimed is None else claimed
+            sender = me if claimed is None else claimed
             for _copy in range(copies):
                 if limit is not None and trace.transmissions >= limit:
                     return False
@@ -353,32 +501,35 @@ class Engine:
                 self._seq += 1
                 trace.on_transmission(env, len(receivers))
                 for obs in observers:
-                    obs.on_transmission(env, receivers)
+                    obs.on_transmission(env, fanout)
                 if jammers or loss_rng is not None:
                     # dead, then jammed, then one loss draw: the RNG is
                     # drawn only for receivers alive and not jammed
                     survivors = [
                         nb
                         for nb in receivers
-                        if nb not in dead
+                        if not dead[nb]
                         and not (jammers and is_jammed(nb))
                         and (
                             loss_rng is None
                             or loss_rng.random() >= loss_rate
                         )
                     ]
-                elif dead:
-                    survivors = [nb for nb in receivers if nb not in dead]
+                elif any_dead:
+                    survivors = [nb for nb in receivers if not dead[nb]]
                 else:
                     survivors = receivers
                 if buffered:
-                    self._pending_deliveries.append((env, tuple(survivors)))
+                    self._pending_deliveries.append(
+                        (env, tuple(map(nodes.__getitem__, survivors)))
+                    )
                     continue
                 t0 = prof.begin() if prof is not None else 0.0
                 if observers:
                     for nb in survivors:
+                        receiver = nodes[nb]
                         for obs in observers:
-                            obs.on_delivery(nb, env)
+                            obs.on_delivery(receiver, env)
                         nb_ctx = contexts[nb]
                         if not nb_ctx.halted:
                             processes[nb].on_receive(nb_ctx, env)
@@ -395,16 +546,18 @@ class Engine:
         """End-of-round mode: hand last round's receptions to receivers
         (in global transmission order) before this round's hooks run."""
         pending, self._pending_deliveries = self._pending_deliveries, []
+        index = self._wiring.index
         for env, receivers in pending:
             for nb in receivers:
                 if self._is_crashed(nb, self.round):
                     continue
                 for obs in self._observers:
                     obs.on_delivery(nb, env)
-                nb_ctx = self._contexts[nb]
+                i = index(nb)
+                nb_ctx = self._contexts[i]
                 if nb_ctx.halted:
                     continue
-                self.processes[nb].on_receive(nb_ctx, env)
+                self._procs[i].on_receive(nb_ctx, env)
 
     def _close_round(self) -> None:
         """Account the current round in the trace and to observers.
@@ -429,12 +582,10 @@ class Engine:
         occurred mid-frame."""
         self._jammers_this_round.clear()
         round_ = self.round
+        self._mark_crashes(round_)
         dead = self._dead
-        crashes = self._crash_schedule
-        while crashes and crashes[0][1] <= round_:
-            dead.add(crashes.popleft()[0])
         contexts = self._contexts
-        processes = self.processes
+        processes = self._procs
         prof = self._profiler
         for obs in self._observers:
             obs.on_round_start(round_)
@@ -444,24 +595,23 @@ class Engine:
             if prof is not None:
                 prof.end("deliver", t0)
         t0 = prof.begin() if prof is not None else 0.0
-        for node in self._all_nodes:
-            ctx = contexts[node]
-            if node in dead:
-                if self.crash_round[node] == round_:
-                    self._announce_crash(node, round_)
+        for ctx, proc, gone in zip(contexts, processes, dead):
+            if gone:
+                if self.crash_round[ctx.node] == round_:
+                    self._announce_crash(ctx.node, round_)
                     ctx._outbox.clear()
                 continue
             if not ctx.halted:
-                processes[node].on_round(ctx)
+                proc.on_round(ctx)
         if prof is not None:
             prof.end("round_hooks", t0)
             t0 = prof.begin()
-        for slot, group in enumerate(self.schedule.slots):
+        for slot, group in enumerate(self._wiring.slots):
             for node in group:
                 outbox = contexts[node]._outbox
                 if not outbox:
                     continue
-                if node in dead:
+                if dead[node]:
                     outbox.clear()
                     continue
                 if not self._transmit(node, slot):
@@ -472,12 +622,9 @@ class Engine:
         if prof is not None:
             prof.end("transmit", t0)
             t0 = prof.begin()
-        for node in self._all_nodes:
-            if node in dead:
-                continue
-            ctx = contexts[node]
-            if not ctx.halted:
-                processes[node].on_round_end(ctx)
+        for ctx, proc, gone in zip(contexts, processes, dead):
+            if not gone and not ctx.halted:
+                proc.on_round_end(ctx)
         if prof is not None:
             prof.end("round_end_hooks", t0)
         self._close_round()
@@ -492,8 +639,8 @@ class Engine:
         if tx_this_round or self._pending_deliveries:
             return False
         return all(
-            not ctx._outbox or self._is_crashed(node, self.round + 1)
-            for node, ctx in self._contexts.items()
+            not ctx._outbox or self._is_crashed(ctx.node, self.round + 1)
+            for ctx in self._contexts
         )
 
     def run(self) -> SimulationResult:

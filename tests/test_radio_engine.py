@@ -13,9 +13,12 @@ import weakref
 import pytest
 
 from repro.errors import ConfigurationError, SimulationLimitError
+from repro.grid.factory import make_topology
+from repro.grid.tdma import TDMASchedule, make_schedule, sequential_schedule
 from repro.grid.torus import Torus
 from repro.obs import JsonlRecorder
 from repro.protocols.registry import correct_process_map
+from repro.radio import engine as engine_module
 from repro.radio.channel import ChannelImperfections
 from repro.radio.engine import Engine
 from repro.radio.node import Context, FunctionProcess, NodeProcess, SilentProcess
@@ -39,17 +42,20 @@ class Broadcaster(NodeProcess):
             ctx.broadcast(p)
 
 
-def recorded_flood(**engine_kwargs):
-    """A crash-flood run on a 7x7, r=1 torus recorded with deliveries:
-    ``(sha256 of the JSONL, event count)``.  The fastpath refuses the
-    engine options these pins cover, so no differential test guards
-    them."""
-    torus = Torus.square(7, 1)
+def recorded_flood(topology=None, rekey=None, **engine_kwargs):
+    """A crash-flood run recorded with deliveries: ``(sha256 of the
+    JSONL, event count)``.  The topology defaults to a 7x7, r=1 torus;
+    ``rekey`` maps each process key to the key the engine is given.  The
+    fastpath refuses the engine options these pins cover, so no
+    differential test guards them."""
+    topology = topology or Torus.square(7, 1)
     processes = correct_process_map(
-        torus, "crash-flood", 0, (0, 0), 1, set(torus.nodes())
+        topology, "crash-flood", 0, (0, 0), 1, set(topology.nodes())
     )
+    if rekey is not None:
+        processes = {rekey(node): proc for node, proc in processes.items()}
     recorder = JsonlRecorder(record_deliveries=True)
-    Engine(torus, processes, observers=(recorder,), **engine_kwargs).run()
+    Engine(topology, processes, observers=(recorder,), **engine_kwargs).run()
     text = recorder.dumps()
     return hashlib.sha256(text.encode("utf-8")).hexdigest(), len(recorder.events)
 
@@ -525,3 +531,153 @@ class TestRegressionFixes:
                 gc.enable()
         assert all(p.committed_value() == 1 for p in res.processes.values())
         assert ctx.round == res.rounds - 1  # a context outlives its engine
+
+
+class TestMalformedInputs:
+    """Inputs the engine used to accept and then trip over (or silently
+    keep): each is a named error at construction."""
+
+    def test_none_process_rejected(self):
+        with pytest.raises(ConfigurationError, match=r"\(1, 1\)"):
+            Engine(
+                Torus.square(7, 1),
+                {(0, 0): Broadcaster(["m"]), (1, 1): None},
+            )
+
+    def test_crash_round_for_non_node_rejected(self):
+        grid = make_topology("bounded", 9, 1, "linf")
+        with pytest.raises(ConfigurationError, match=r"\(50, 50\)"):
+            Engine(grid, {}, crash_round={(50, 50): 0})
+
+    def test_schedule_naming_non_node_rejected(self):
+        t = Torus.square(7, 1)
+        schedule = TDMASchedule(
+            sequential_schedule(t).slots + (((99, 99),),)
+        )
+        with pytest.raises(ConfigurationError, match=r"\(99, 99\)"):
+            Engine(t, {}, schedule=schedule)
+
+
+class TestWiring:
+    """The trial-invariant wiring: shared per torus shape under the
+    default schedule, built per engine everywhere else, and in the
+    neighbor-map and schedule orders the runs depend on."""
+
+    def test_equal_tori_share_one_wiring(self):
+        a = Engine(Torus.square(13, 2), {})
+        b = Engine(Torus.square(13, 2), {})
+        assert a._wiring is b._wiring
+        assert a.schedule is b.schedule
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: (Torus.square(7, 1), make_schedule(Torus.square(7, 1))),
+            lambda: (make_topology("bounded", 9, 1), None),
+            lambda: (make_topology("rgg", 9, 1, seed=3), None),
+        ],
+        ids=["caller-schedule", "bounded", "rgg"],
+    )
+    def test_other_engines_build_their_own(self, make):
+        topology, schedule = make()
+        a = Engine(topology, {}, schedule=schedule)
+        b = Engine(topology, {}, schedule=schedule)
+        assert a._wiring is not b._wiring
+
+    def test_memo_holds_at_most_four_shapes(self):
+        assert engine_module._torus_wiring.cache_info().maxsize == 4
+        for side in (7, 8, 9, 10, 11):
+            Engine(Torus.square(side, 1), {})
+        assert engine_module._torus_wiring.cache_info().currsize <= 4
+
+    @pytest.mark.parametrize(
+        "topology",
+        [
+            Torus.square(13, 2),
+            Torus(9, 11, 1, "l1"),
+            Torus.square(10, 2),
+            make_topology("bounded", 9, 2),
+            make_topology("rgg", 9, 1, seed=3),
+        ],
+        ids=repr,
+    )
+    def test_orders_follow_neighbor_map_and_schedule(self, topology):
+        wiring = Engine(topology, {})._wiring
+        nodes = wiring.nodes
+        neighbors = topology.neighbor_map()
+        assert nodes == list(neighbors)
+        assert [
+            tuple(nodes[j] for j in ball) for ball in wiring.receivers
+        ] == list(neighbors.values())
+        assert tuple(
+            tuple(nodes[j] for j in group) for group in wiring.slots
+        ) == wiring.schedule.slots == make_schedule(topology).slots
+
+    def test_memo_keeps_no_trial_object(self, monkeypatch):
+        """With the cyclic collector off, a finished engine's processes
+        and contexts die with it: the shared wiring holds none of them."""
+
+        class WeakContext(Context):
+            __slots__ = ("__weakref__",)
+
+        monkeypatch.setattr(engine_module, "Context", WeakContext)
+        t = Torus.square(7, 1)
+        procs = correct_process_map(
+            t, "crash-flood", 0, (0, 0), 1, set(t.nodes())
+        )
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            eng = Engine(t, procs)
+            eng.run()
+            proc = weakref.ref(eng.processes[(3, 3)])
+            ctx = weakref.ref(eng.context_of((3, 3)))
+            del eng, procs
+            assert proc() is None
+            assert ctx() is None
+        finally:
+            if was_enabled:
+                gc.enable()
+
+
+class TestWiringGoldenJsonl:
+    """Engine paths no other JSONL pin covers; computed before the
+    engine moved to flat wiring and unchanged by it."""
+
+    def test_bounded_grid(self):
+        assert recorded_flood(make_topology("bounded", 9, 1)) == (
+            "95cc61f8f03062d76931407c5c4e6fc0d3265f16e93f86309414f6928af1eb48",
+            716,
+        )
+
+    def test_random_geometric_graph(self):
+        assert recorded_flood(make_topology("rgg", 9, 1, seed=3)) == (
+            "ef4ecabe03c89ab461850f6456f2d7cdf6203775bb63daa505038535f318b744",
+            328,
+        )
+
+    def test_coloring_schedule_with_multi_node_slots(self):
+        torus = Torus.square(10, 2)
+        assert make_schedule(torus).name == "coloring(k=5)"
+        assert recorded_flood(torus) == (
+            "0f27d3c99b6f22dc27f477386de3bde7479ba6fffcf54bb25f175377c66b4c88",
+            2633,
+        )
+
+    def test_caller_supplied_schedule(self):
+        torus = Torus.square(7, 1)
+        backwards = TDMASchedule(
+            tuple((node,) for node in sorted(torus.nodes(), reverse=True))
+        )
+        assert recorded_flood(torus, schedule=backwards) == (
+            "56a8f2798dea9c2b1e271c9beb0e6eba566363f8c2e6cd0a8da4ea8a8529bc56",
+            507,
+        )
+
+    def test_non_canonical_process_keys(self):
+        assert recorded_flood(
+            Torus.square(13, 2), rekey=lambda p: (p[0] + 13, p[1] - 26)
+        ) == (
+            "677362c9fc925a9d80757de4813a9b084f129cc0de16f57d2f90d7af8878ee5a",
+            4425,
+        )
