@@ -35,7 +35,6 @@ from repro.errors import (
     InvalidPlacementError,
     SpoofingError,
     ProtocolViolationError,
-    SimulationLimitError,
     WitnessError,
 )
 from repro.geometry import Point, L1, L2, LINF, get_metric
@@ -49,7 +48,6 @@ __all__ = [
     "InvalidPlacementError",
     "SpoofingError",
     "ProtocolViolationError",
-    "SimulationLimitError",
     "WitnessError",
     "Point",
     "L1",

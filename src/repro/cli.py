@@ -353,56 +353,37 @@ def _cmd_adversary(args: argparse.Namespace) -> int:
     import pathlib
 
     from repro.adversary import SearchConfig, certify_result, run_search
+    from repro.errors import ConfigurationError
     from repro.exec import ResultCache, default_cache_dir
 
-    if args.engine == "fastpath" and args.kind == "byzantine":
-        from repro.radio.engines import (
-            FASTPATH_BYZANTINE_PROTOCOLS,
-            FASTPATH_FIXED_STRATEGIES,
-        )
-
-        byz_protocol = args.protocol or "bv-two-hop"
-        if byz_protocol not in FASTPATH_BYZANTINE_PROTOCOLS:
-            print(
-                f"repro adversary: protocol {byz_protocol!r} has no "
-                "Byzantine-capable fastpath kernel (supported: "
-                f"{FASTPATH_BYZANTINE_PROTOCOLS}); drop --engine fastpath",
-                file=sys.stderr,
-            )
-            return 2
-        if args.byz_strategy not in FASTPATH_FIXED_STRATEGIES:
-            print(
-                f"repro adversary: Byzantine strategy "
-                f"{args.byz_strategy!r} runs arbitrary node code (no "
-                "fixed-strategy kernel; supported: "
-                f"{FASTPATH_FIXED_STRATEGIES}); drop --engine fastpath",
-                file=sys.stderr,
-            )
-            return 2
     cache = None
     if not args.no_cache:
         cache_dir = (
             pathlib.Path(args.cache_dir) if args.cache_dir else default_cache_dir()
         )
         cache = ResultCache(cache_dir)
-    config = SearchConfig(
-        kind=args.kind,
-        r=args.r,
-        t=args.t,
-        protocol=args.protocol or "",
-        byz_strategy=args.byz_strategy,
-        torus_side=args.side,
-        max_rounds=args.max_rounds,
-        seed=args.seed,
-        eval_budget=args.budget,
-    )
-    result = run_search(
-        config,
-        strategy=args.strategy,
-        workers=args.workers,
-        cache=cache,
-        engine=args.engine,
-    )
+    try:
+        config = SearchConfig(
+            kind=args.kind,
+            r=args.r,
+            t=args.t,
+            protocol=args.protocol or "",
+            byz_strategy=args.byz_strategy,
+            torus_side=args.side,
+            max_rounds=args.max_rounds,
+            seed=args.seed,
+            eval_budget=args.budget,
+        )
+        result = run_search(
+            config,
+            strategy=args.strategy,
+            workers=args.workers,
+            cache=cache,
+            engine=args.engine,
+        )
+    except ConfigurationError as exc:
+        print(f"repro adversary: {exc}", file=sys.stderr)
+        return 2
     summary = {
         "kind": args.kind,
         "strategy": args.strategy,

@@ -46,14 +46,6 @@ class ProtocolViolationError(ReproError):
     """
 
 
-class SimulationLimitError(ReproError):
-    """The simulation exceeded its configured round or message budget.
-
-    This is distinct from a protocol legitimately stalling: engines raise
-    this only when ``max_rounds``/``max_messages`` safety valves trip.
-    """
-
-
 class WitnessError(ReproError):
     """A constructive witness failed verification.
 

@@ -130,7 +130,6 @@ class BroadcastScenario:
 
     def run(
         self,
-        record_events: bool = False,
         observers=None,
         profiler=None,
     ) -> BroadcastOutcome:
@@ -145,10 +144,7 @@ class BroadcastScenario:
             from repro.radio.fastpath import run_fastpath_broadcast
 
             return run_fastpath_broadcast(
-                self,
-                record_events=record_events,
-                observers=observers,
-                profiler=profiler,
+                self, observers=observers, profiler=profiler
             )
         correct = self.correct_nodes
         processes: Dict[Coord, NodeProcess] = dict(self.byzantine_processes)
@@ -171,7 +167,6 @@ class BroadcastScenario:
             crash_round=self.crash_round,
             max_rounds=self.max_rounds,
             max_messages=self.max_messages,
-            record_events=record_events,
             channel=self.channel,
             delivery=self.delivery,
             observers=observers,

@@ -21,7 +21,7 @@ an adversarial :class:`~repro.radio.node.NodeProcess`).
 from repro.radio.channel import ChannelImperfections, PERFECT_CHANNEL
 from repro.radio.messages import Envelope
 from repro.radio.node import NodeProcess, Context, SilentProcess
-from repro.radio.trace import Trace, TraceEvent
+from repro.radio.trace import Trace
 from repro.radio.engine import Engine, SimulationResult
 from repro.radio.resilience import RetransmittingProcess
 from repro.radio.run import run_broadcast, BroadcastOutcome
@@ -34,7 +34,6 @@ __all__ = [
     "Context",
     "SilentProcess",
     "Trace",
-    "TraceEvent",
     "Engine",
     "SimulationResult",
     "RetransmittingProcess",

@@ -52,7 +52,7 @@ from typing import (
     TYPE_CHECKING,
 )
 
-from repro.errors import ConfigurationError, SimulationLimitError
+from repro.errors import ConfigurationError
 from repro.radio.channel import PERFECT_CHANNEL, ChannelImperfections
 from repro.geometry.coords import Coord
 from repro.grid.stencil import torus_stencil
@@ -203,8 +203,6 @@ class Engine:
         crash_round: Optional[Mapping[Coord, int]] = None,
         max_rounds: int = 10_000,
         max_messages: Optional[int] = None,
-        record_events: bool = False,
-        on_limit: str = "stop",
         channel: Optional["ChannelImperfections"] = None,
         quiescent_after_idle_rounds: int = 1,
         delivery: str = "immediate",
@@ -231,12 +229,8 @@ class Engine:
             Crash-stop fault map (see module docstring); keys not on the
             topology are an error.
         max_rounds / max_messages:
-            Safety valves.  With ``on_limit="stop"`` (default) a tripped
-            valve ends the run with the corresponding flag set on the
-            result; with ``on_limit="raise"`` it raises
-            :class:`~repro.errors.SimulationLimitError`.
-        record_events:
-            Keep a full per-transmission event log in the trace.
+            Safety valves.  A tripped valve ends the run with the
+            corresponding flag set on the result.
         channel:
             Channel-model deviations (spoofing, jamming, loss,
             retransmission); defaults to the paper's perfect channel.  See
@@ -269,10 +263,6 @@ class Engine:
         """
         if not topology.is_finite:
             raise ConfigurationError("the engine requires a finite topology")
-        if on_limit not in ("stop", "raise"):
-            raise ConfigurationError(
-                f'on_limit must be "stop" or "raise", got {on_limit!r}'
-            )
         if max_rounds < 1:
             raise ConfigurationError(f"max_rounds must be >= 1, got {max_rounds}")
         self.topology = topology
@@ -331,7 +321,6 @@ class Engine:
         self._any_dead = False
         self.max_rounds = max_rounds
         self.max_messages = max_messages
-        self._on_limit = on_limit
         if quiescent_after_idle_rounds < 1:
             raise ConfigurationError(
                 "quiescent_after_idle_rounds must be >= 1, got "
@@ -353,7 +342,7 @@ class Engine:
         #: torus wrap, channel, jams); no context points back at us
         self._world = World(topology, self.channel)
         self._jammers_this_round: Set[Coord] = self._world.jammers
-        self.trace = Trace(record_events=record_events)
+        self.trace = Trace()
         self._seq = 0
         self._contexts: List[Context] = [
             Context(node, self._world) for node in nodes
@@ -669,13 +658,6 @@ class Engine:
                     break
             else:
                 idle_streak = 0
-        if (hit_rounds or hit_messages) and self._on_limit == "raise":
-            what = "round" if hit_rounds else "message"
-            raise SimulationLimitError(
-                f"simulation exceeded its {what} budget "
-                f"(rounds={self.round + 1}, "
-                f"messages={self.trace.transmissions})"
-            )
         result = SimulationResult(
             rounds=self.trace.rounds,
             quiescent=quiescent,

@@ -2,11 +2,12 @@
 
 A second simulation backend for protocols whose per-round state is a
 small per-node lattice (crash-flood, bv-two-hop, and CPA today): node
-state lives in dense numpy arrays and packed bitsets, neighborhood
-delivery is an on-the-fly ball-stencil gather (torus wrap folded into
-the arithmetic), crash faults are boolean masks, and fixed-strategy
+state lives in dense numpy arrays, neighborhood delivery is an
+on-the-fly ball-stencil gather (torus wrap folded into the
+arithmetic), crash faults are boolean masks, and fixed-strategy
 Byzantine value faults (silent / liar / duplicitous / fabricator, on
-CPA) are compiled message plans.  The backend is selected per
+CPA) are compiled message plans.  Each kernel hands its run's message
+order to one statistics pass (:mod:`repro.radio.fastpath.stats`).  The backend is selected per
 scenario via ``ScenarioSpec(engine="fastpath")`` /
 ``BroadcastScenario(engine="fastpath")`` and must be *observationally
 identical* to the reference engine: the differential harness
@@ -23,7 +24,6 @@ from repro.radio.engines import (
     FASTPATH_BYZANTINE_PROTOCOLS,
     FASTPATH_FIXED_STRATEGIES,
 )
-from repro.radio.fastpath.bitset import PackedBits
 from repro.radio.fastpath.compat import HAVE_NUMPY, require_numpy
 from repro.radio.fastpath.lattice import Lattice
 from repro.radio.fastpath.result import FastSimulationResult
@@ -43,7 +43,6 @@ __all__ = [
     "FastSimulationResult",
     "HAVE_NUMPY",
     "Lattice",
-    "PackedBits",
     "fastpath_unsupported_reason",
     "require_numpy",
     "run_fastpath_broadcast",

@@ -11,7 +11,9 @@ flat integer indices and precomputed ball/offset tables, reusing the
 reference evidence machinery (:class:`~repro.protocols.evidence.
 CenterIndex` and its ``has_packing`` commit check) verbatim so commit
 decisions -- including packing-search order and budget behavior -- are
-identical by construction.
+identical by construction.  It records its message order and commits,
+and :func:`~repro.radio.fastpath.stats.fill_stats` derives the run's
+statistics from them.
 
 Message encoding (value is run-constant, so payloads carry none):
 
@@ -37,7 +39,11 @@ from typing import Dict, List, Optional
 from repro.protocols.evidence import CenterIndex
 from repro.radio.fastpath.compat import require_numpy
 from repro.radio.fastpath.lattice import Lattice
-from repro.radio.fastpath.stats import KernelStats, SourceTracker
+from repro.radio.fastpath.stats import (
+    KernelStats,
+    SourceTracker,
+    fill_stats,
+)
 
 _SRC = ("SRC",)
 _CMT = ("CMT",)
@@ -79,7 +85,6 @@ def run_bv_two_hop_kernel(
     metric = lattice.metric
     rr = lattice.r
     t1 = t + 1
-    K = lattice.ball_size
     num_nodes = lattice.num_nodes
     width, height = lattice.width, lattice.height
     half_w, half_h = width // 2, height // 2
@@ -93,48 +98,41 @@ def run_bv_two_hop_kernel(
         i: _BVState() for i in range(num_nodes) if correct_list[i]
     }
     correct_order = sorted(states)  # flat order == canonical node order
-    tx_by_node = [0] * num_nodes
-    rx_by_node = [0] * num_nodes
     pending_total = 0
+    # the record fill_stats reads: sender and slot time per message,
+    # node and round per commit
+    msg_senders: List[int] = []
+    msg_times: List[int] = []
+    commit_idx: List[int] = []
+    commit_rounds: List[int] = []
 
     def commit(st: _BVState, idx: int, round_: int) -> None:
         nonlocal pending_total
         st.committed = True
         st.outbox.append(_CMT)
         pending_total += 1
-        stats.commit_round[coords[idx]] = round_
-        stats.commits_by_round[round_] = (
-            stats.commits_by_round.get(round_, 0) + 1
-        )
-        for tr in trackers:
-            tr.on_committed_one(idx)
+        commit_idx.append(idx)
+        commit_rounds.append(round_)
 
     # -- start phase (round -1): the source broadcasts SRC and commits
     src_state = states[source_idx]
     src_state.outbox.append(_SRC)
     pending_total += 1
     commit(src_state, source_idx, -1)
-    stats.crashes = sum(1 for c in crash_list if c == 0)
 
     budget = max_messages
-    tx_total = 0
-    obs_deliveries = 0
     rounds = 0
-    quiescent = False
-    hit_rounds = False
-    hit_messages = False
     slot_groups = [g.tolist() for g in lattice.slot_groups]
+    num_slots = len(slot_groups)
     r = 0
     while True:
         if r >= max_rounds:
-            hit_rounds = True
+            stats.hit_round_limit = True
             break
-        if r > 0:
-            stats.crashes += sum(1 for c in crash_list if c == r)
         tx_round = 0
-        del_round = 0
         tripped = False
-        for group in slot_groups:
+        for s, group in enumerate(slot_groups):
+            tau = r * num_slots + s
             for sender in group:
                 st = states.get(sender)
                 if st is None or not st.outbox:
@@ -143,23 +141,18 @@ def run_bv_two_hop_kernel(
                 ball = nbr_lists[sender]
                 sender_coord = coords[sender]
                 while outbox:
-                    if budget is not None and tx_total >= budget:
+                    if budget is not None and len(msg_senders) >= budget:
                         tripped = True
                         break
                     payload = outbox.popleft()
                     pending_total -= 1
-                    tx_total += 1
                     tx_round += 1
-                    tx_by_node[sender] += 1
-                    stats.fanout_deliveries += K
+                    msg_senders.append(sender)
+                    msg_times.append(tau)
                     kind = payload[0]
                     for j, p in enumerate(ball):
                         if crash_list[p] <= r:
                             continue  # dead receivers hear nothing
-                        del_round += 1
-                        rx_by_node[p] += 1
-                        for tr in trackers:
-                            tr.on_delivered_one(p)
                         rst = states.get(p)
                         if rst is None:
                             continue  # live faulty node: silent observer
@@ -224,35 +217,26 @@ def run_bv_two_hop_kernel(
                         commit(st, p, r)
                         break
         # close the round (partial budget-truncated rounds still count)
-        if tx_round:
-            stats.tx_by_round[r] = tx_round
-        if del_round:
-            stats.deliveries_by_round[r] = del_round
-        obs_deliveries += del_round
-        for tr in trackers:
-            tr.snapshot(r)
         rounds = r + 1
         if tripped:
-            hit_messages = True
+            stats.hit_message_limit = True
             break
         if tx_round == 0 and pending_total == 0:
-            quiescent = True
+            stats.quiescent = True
             break
         r += 1
 
     stats.rounds = rounds
-    stats.quiescent = quiescent
-    stats.hit_round_limit = hit_rounds
-    stats.hit_message_limit = hit_messages
-    stats.transmissions = tx_total
-    stats.obs_deliveries = obs_deliveries
-    for i, n in enumerate(tx_by_node):
-        if n:
-            stats.tx_by_node[coords[i]] = n
-    for i, n in enumerate(rx_by_node):
-        if n:
-            stats.rx_by_node[coords[i]] = n
     stats.committed_mask = [
         i in states and states[i].committed for i in range(num_nodes)
     ]
-    return stats
+    return fill_stats(
+        stats,
+        lattice,
+        senders=msg_senders,
+        times=msg_times,
+        commit_idx=commit_idx,
+        commit_rounds=commit_rounds,
+        crash_rounds=crash_rounds,
+        trackers=trackers,
+    )

@@ -11,8 +11,8 @@ kernel keeps that state in dense arrays:
   identity follows Python dict equality exactly as the reference
   protocol's ``_tally`` dict does (``1``, ``True`` and ``1.0`` share a
   bucket);
-- ``cpa_active``: a :class:`PackedBits` bitset -- correct and not yet
-  halted, i.e. the nodes whose ``on_receive`` still runs;
+- ``cpa_active``: a bool mask -- correct and not yet halted, i.e. the
+  nodes whose ``on_receive`` still runs;
 - ``committed_vid``: each node's committed value id (or -1).
 
 Three message kinds flow: ``SRC`` (the source's one-time broadcast),
@@ -39,19 +39,23 @@ kernel's: co-slotted senders have disjoint balls (>= 2r+1 apart), so
 batch-vs-special order inside a slot is unobservable, and a slot that
 would overrun the message budget falls back to a per-message scalar
 replay in node order, stopping exactly where the reference engine's
-pre-send check stops.
+pre-send check stops.  The kernel records each fired slot's senders
+and every non-``None`` commit; :func:`~repro.radio.fastpath.stats.
+fill_stats` reads the run's statistics off that record.
 """
 
 from __future__ import annotations
 
-from itertools import repeat
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.radio.fastpath.bitset import PackedBits
 from repro.radio.fastpath.byzantine import ByzantinePlan
 from repro.radio.fastpath.compat import require_numpy
 from repro.radio.fastpath.lattice import Lattice
-from repro.radio.fastpath.stats import KernelStats, SourceTracker
+from repro.radio.fastpath.stats import (
+    KernelStats,
+    SourceTracker,
+    fill_stats,
+)
 
 
 def run_cpa_kernel(
@@ -76,7 +80,6 @@ def run_cpa_kernel(
     np = require_numpy()
     stats = KernelStats()
     n = lattice.num_nodes
-    K = lattice.ball_size
     coords = lattice.coords_all
     slot_of = lattice.slot_of
     num_slots = len(lattice.slot_groups)
@@ -134,11 +137,15 @@ def run_cpa_kernel(
         [v is not None for v in values], dtype=bool
     )
     tally = np.zeros((n, num_values), dtype=np.int32)
-    cpa_active = PackedBits(n)
-    cpa_active.set_true(np.flatnonzero(correct))
+    cpa_active = correct.copy()
     committed_vid = np.full(n, -1, dtype=np.int64)
-    tx_arr = np.zeros(n, dtype=np.int64)
-    rx_arr = np.zeros(n, dtype=np.int64)
+    # the record fill_stats reads: each fired slot's senders (one entry
+    # per message) with its slot time, and each batch of non-None
+    # commits with its round
+    sent: List = []
+    sent_tau: List[int] = []
+    commit_parts: List = []
+    commit_part_rounds: List[int] = []
 
     # per-slot ready queues, two frames deep (this frame / next frame):
     # relays carry (idx_array, vid_array) pairs, specials carry
@@ -177,32 +184,19 @@ def run_cpa_kernel(
         commits halt and announce but are observably undecided, so
         they stay out of the commit statistics), and enqueue the
         one-time ``COMMITTED`` relay.  Returns messages enqueued."""
-        cpa_active.set_false(idxs)
+        cpa_active[idxs] = False
         committed_vid[idxs] = vids
-        rec = idxs[values_not_none[vids]]
-        if rec.size:
-            lst = rec.tolist()
-            stats.commit_round.update(
-                zip([coords[i] for i in lst], repeat(round_))
-            )
-            stats.commits_by_round[round_] = stats.commits_by_round.get(
-                round_, 0
-            ) + len(lst)
-            for tr in trackers:
-                tr.on_committed(rec)
+        commit_parts.append(idxs[values_not_none[vids]])
+        commit_part_rounds.append(round_)
         route_relays(idxs, vids, slot)
         return int(idxs.size)
 
     # -- start phase (round -1): the source broadcasts SRC + COMMITTED
-    # and commits; Byzantine bursts are queued; dead-from-start crashes
-    # are announced.
-    src_arr = np.asarray([source_idx], dtype=np.int64)
-    cpa_active.set_false(src_arr)
+    # and commits; Byzantine bursts are queued.
+    cpa_active[source_idx] = False
     committed_vid[source_idx] = 0
-    stats.commit_round[coords[source_idx]] = -1
-    stats.commits_by_round[-1] = 1
-    for tr in trackers:
-        tr.on_committed(src_arr)
+    commit_parts.append(np.asarray([source_idx], dtype=np.int64))
+    commit_part_rounds.append(-1)
     spec_next[int(slot_of[source_idx])].append(
         (source_idx, (("SRC",), ("CMT", 0, True)))
     )
@@ -223,29 +217,16 @@ def run_cpa_kernel(
     for idx, msgs in spec_bursts.items():
         spec_next[int(slot_of[idx])].append((idx, msgs))
         pending_total += len(msgs)
-    stats.crashes = int((crash_rounds == 0).sum())
 
     budget = max_messages
     tx_total = 0
     rounds = 0
-    quiescent = False
-    hit_rounds = False
-    hit_messages = False
-    obs_del_round = 0
 
-    def fire_message(
-        idx: int, ball, delivered, msg: Tuple, r: int, s: int
-    ) -> None:
-        """Deliver one special-burst message (statistics + protocol)."""
-        nonlocal obs_del_round, pending_total
-        tx_arr[idx] += 1
-        stats.fanout_deliveries += K
+    def fire_message(delivered, msg: Tuple, r: int, s: int) -> None:
+        """Deliver one special-burst message to the live ``delivered``."""
+        nonlocal pending_total
         if not delivered.size:
             return
-        obs_del_round += int(delivered.size)
-        rx_arr[delivered] += 1
-        for tr in trackers:
-            tr.on_delivered(delivered)
         kind = msg[0]
         if kind == "JUNK":
             return  # HeardMsg: CPA ignores it; fabricators ignore it too
@@ -260,7 +241,7 @@ def run_cpa_kernel(
             if not msg[2]:
                 return  # repeat or unhashable: never tallies
             vid = msg[1]
-            elig = delivered[cpa_active.get(delivered)]
+            elig = delivered[cpa_active[delivered]]
             if elig.size:
                 tally[elig, vid] += 1
                 fresh = elig[tally[elig, vid] >= commit_at]
@@ -274,7 +255,7 @@ def run_cpa_kernel(
             return
         # SRC: only the true source ever sends it; direct receipt
         # commits every active receiver to the source value
-        elig = delivered[cpa_active.get(delivered)]
+        elig = delivered[cpa_active[delivered]]
         if elig.size:
             pending_total += do_commits(
                 elig, np.zeros(elig.size, dtype=np.int64), r, s
@@ -283,22 +264,20 @@ def run_cpa_kernel(
     r = 0
     while True:
         if r >= max_rounds:
-            hit_rounds = True
+            stats.hit_round_limit = True
             break
-        if r > 0:
-            stats.crashes += int((crash_rounds == r).sum())
         relay_queue = relay_next
         relay_next = [[] for _ in range(num_slots)]
         spec_queue = spec_next
         spec_next = [[] for _ in range(num_slots)]
         tx_round = 0
-        obs_del_round = 0
         tripped = False
         for s in range(num_slots):
             rparts = relay_queue[s]
             sparts = spec_queue[s]
             if not rparts and not sparts:
                 continue
+            sent_tau.append(r * num_slots + s)
             relay_demand = sum(p[0].size for p in rparts)
             spec_demand = sum(len(p[1]) for p in sparts)
             demand = relay_demand + spec_demand
@@ -308,28 +287,23 @@ def run_cpa_kernel(
                 tx_total += demand
                 tx_round += demand
                 pending_total -= demand
+                slot_senders = []
                 if rparts:
                     if len(rparts) == 1:
                         txers, vids = rparts[0]
                     else:
                         txers = np.concatenate([p[0] for p in rparts])
                         vids = np.concatenate([p[1] for p in rparts])
-                    m = txers.size
-                    stats.fanout_deliveries += m * K
-                    tx_arr[txers] += 1
+                    slot_senders.append(txers)
                     balls = lattice.balls_of(txers)
                     alive = crash_rounds[balls] > r
                     delivered = balls[alive]
                     if delivered.size:
-                        obs_del_round += int(delivered.size)
-                        rx_arr[delivered] += 1
-                        for tr in trackers:
-                            tr.on_delivered(delivered)
                         fabs = delivered[is_fab[delivered]]
                         for fi in fabs.tolist():
                             route_special(fi, (("JUNK",),), s)
                             pending_total += 1
-                        act = alive & cpa_active.get(balls)
+                        act = alive & cpa_active[balls]
                         recv = balls[act]
                         if recv.size:
                             rvids = np.broadcast_to(
@@ -345,10 +319,12 @@ def run_cpa_kernel(
                                     fresh, rvids[hit], r, s
                                 )
                 for idx, msgs in sparts:
+                    slot_senders.append(np.full(len(msgs), idx))
                     ball = lattice.ball_of(idx)
                     delivered = ball[crash_rounds[ball] > r]
                     for msg in msgs:
-                        fire_message(idx, ball, delivered, msg, r, s)
+                        fire_message(delivered, msg, r, s)
+                sent.append(np.concatenate(slot_senders))
             else:
                 # budget trips inside this slot: replay it per message
                 # in node order, stopping exactly where the reference
@@ -359,6 +335,7 @@ def run_cpa_kernel(
                         by_idx.setdefault(i, []).append(("CMT", v, True))
                 for idx, msgs in sparts:
                     by_idx.setdefault(idx, []).extend(msgs)
+                fired: List[int] = []
                 for idx in sorted(by_idx):
                     ball = lattice.ball_of(idx)
                     delivered = ball[crash_rounds[ball] > r]
@@ -369,36 +346,23 @@ def run_cpa_kernel(
                         tx_total += 1
                         tx_round += 1
                         pending_total -= 1
-                        fire_message(idx, ball, delivered, msg, r, s)
+                        fired.append(idx)
+                        fire_message(delivered, msg, r, s)
                     if tripped:
                         break
+                sent.append(np.asarray(fired, dtype=np.int64))
             if tripped:
                 break
-        if tx_round:
-            stats.tx_by_round[r] = tx_round
-        if obs_del_round:
-            stats.deliveries_by_round[r] = obs_del_round
-        for tr in trackers:
-            tr.snapshot(r)
         rounds = r + 1
         if tripped:
-            hit_messages = True
+            stats.hit_message_limit = True
             break
         if tx_round == 0 and pending_total == 0:
-            quiescent = True
+            stats.quiescent = True
             break
         r += 1
 
     stats.rounds = rounds
-    stats.quiescent = quiescent
-    stats.hit_round_limit = hit_rounds
-    stats.hit_message_limit = hit_messages
-    stats.transmissions = tx_total
-    stats.obs_deliveries = sum(stats.deliveries_by_round.values())
-    nz = np.flatnonzero(tx_arr).tolist()
-    stats.tx_by_node = dict(zip([coords[i] for i in nz], tx_arr[nz].tolist()))
-    nz = np.flatnonzero(rx_arr).tolist()
-    stats.rx_by_node = dict(zip([coords[i] for i in nz], rx_arr[nz].tolist()))
     decided = np.flatnonzero(committed_vid >= 0)
     decided = decided[values_not_none[committed_vid[decided]]]
     mask = np.zeros(n, dtype=bool)
@@ -408,4 +372,15 @@ def run_cpa_kernel(
     stats.wrong_values = {
         coords[i]: values[int(committed_vid[i])] for i in wrong.tolist()
     }
-    return stats
+    return fill_stats(
+        stats,
+        lattice,
+        senders=np.concatenate(sent),
+        times=np.repeat(sent_tau, [part.size for part in sent]),
+        commit_idx=np.concatenate(commit_parts),
+        commit_rounds=np.repeat(
+            commit_part_rounds, [part.size for part in commit_parts]
+        ),
+        crash_rounds=crash_rounds,
+        trackers=trackers,
+    )

@@ -25,17 +25,17 @@ apart.  The same invariant makes co-slotted delivery balls disjoint
 (under every metric, since L1/L2 >= Linf), so each receiver hears at
 most one transmitter per slot and no two fires ever tie for it.
 
-Every statistic is then read off the fires in ``(tau, node)`` order --
-the reference engine's transmission order.  The run is causal, so each
-safety valve is a prefix cut of that order: the round cap drops the
-fires at or past ``max_rounds * S``, and a message budget keeps the
-first ``max_messages`` messages (the source's two come first) and
-stops in the round of the next one, exactly where the reference
-engine's pre-send check stops.  Only the nodes first hearing in that
+The fires in ``(tau, node)`` order are the reference engine's
+transmission order.  The run is causal, so each safety valve is a
+prefix cut of that order: the round cap drops the fires at or past
+``max_rounds * S``, and a message budget keeps the first
+``max_messages`` messages (the source's two come first) and stops in
+the round of the next one, exactly where the reference engine's
+pre-send check stops.  Only the nodes first hearing in that
 trip slot need a look: each commits iff its (unique) transmitter's
-message went out.  The per-round counters then take one ball gather
-per executed round (:meth:`Lattice.balls_of`), never an ``(N, K)``
-block at once.
+message went out.  The kept prefix is the run's message order, from
+which :func:`~repro.radio.fastpath.stats.fill_stats` reads every
+statistic.
 """
 
 from __future__ import annotations
@@ -44,7 +44,11 @@ from typing import List, Optional
 
 from repro.radio.fastpath.compat import require_numpy
 from repro.radio.fastpath.lattice import Lattice
-from repro.radio.fastpath.stats import KernelStats, SourceTracker
+from repro.radio.fastpath.stats import (
+    KernelStats,
+    SourceTracker,
+    fill_stats,
+)
 
 #: "never" on the slot clock: above every reachable time
 _NEVER = 2**62
@@ -112,8 +116,6 @@ def run_crash_flood_kernel(
     """
     np = require_numpy()
     stats = KernelStats()
-    n = lattice.num_nodes
-    coords = lattice.coords_all
     num_slots = len(lattice.slot_groups)
     heard, fire = _commit_times(
         lattice, source_idx, correct, max_rounds * num_slots
@@ -146,51 +148,15 @@ def run_crash_flood_kernel(
         else:
             stats.rounds = max_rounds
             stats.hit_round_limit = True
-    rounds = stats.rounds
-    stats.crashes = int((crash_rounds < rounds).sum())
-    stats.transmissions = int(txers.size)
-    stats.fanout_deliveries = stats.transmissions * lattice.ball_size
-
-    # commits in round order (the source's on_start commit is round -1)
-    cidx = np.flatnonzero(committed)
-    cround = heard[cidx] // num_slots
-    order = np.argsort(cround, kind="stable")
-    cidx, cround = cidx[order], cround[order]
-    stats.commit_round = dict(
-        zip([coords[i] for i in cidx.tolist()], cround.tolist())
-    )
-    crounds, ccounts = np.unique(cround, return_counts=True)
-    stats.commits_by_round = dict(zip(crounds.tolist(), ccounts.tolist()))
-
-    # round by round: receptions by live nodes, wave-fronts, snapshots
-    span = np.arange(-1, rounds + 1)
-    fire_at = np.searchsorted(times // num_slots, span).tolist()
-    commit_at = np.searchsorted(cround, span).tolist()
-    for tr in trackers:
-        tr.on_committed(cidx[commit_at[0]:commit_at[1]])
-    rx = np.zeros(n, dtype=np.int64)
-    for rnd in range(rounds):
-        lo, hi = fire_at[rnd + 1], fire_at[rnd + 2]
-        if hi > lo:
-            stats.tx_by_round[rnd] = hi - lo
-            balls = lattice.balls_of(txers[lo:hi])
-            delivered = balls[crash_rounds[balls] > rnd]
-            if delivered.size:
-                # receivers repeat across the slots of a round (and the
-                # source's burst): np.add.at counts every repeat
-                np.add.at(rx, delivered, 1)
-                stats.deliveries_by_round[rnd] = int(delivered.size)
-                for tr in trackers:
-                    tr.on_delivered(delivered)
-        for tr in trackers:
-            tr.on_committed(cidx[commit_at[rnd + 1]:commit_at[rnd + 2]])
-            tr.snapshot(rnd)
-
-    stats.obs_deliveries = sum(stats.deliveries_by_round.values())
-    tx = np.bincount(txers, minlength=n)
-    nz = np.flatnonzero(tx).tolist()
-    stats.tx_by_node = dict(zip([coords[i] for i in nz], tx[nz].tolist()))
-    nz = np.flatnonzero(rx).tolist()
-    stats.rx_by_node = dict(zip([coords[i] for i in nz], rx[nz].tolist()))
     stats.committed_mask = committed.tolist()
-    return stats
+    cidx = np.flatnonzero(committed)
+    return fill_stats(
+        stats,
+        lattice,
+        senders=txers,
+        times=times,
+        commit_idx=cidx,
+        commit_rounds=heard[cidx] // num_slots,
+        crash_rounds=crash_rounds,
+        trackers=trackers,
+    )

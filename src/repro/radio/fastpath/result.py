@@ -89,14 +89,12 @@ def build_trace(
     tx_by_node: Dict[Coord, int],
     tx_by_round: Dict[int, int],
 ) -> Trace:
-    """A populated aggregate-only :class:`Trace` (no per-event log).
+    """A populated :class:`Trace`.
 
-    The fastpath backend never records individual events (it refuses
-    ``record_events=True`` at validation time), but fills every
-    aggregate the reference engine would have filled so
+    Fills every aggregate the reference engine would have filled, so
     ``trace.summary()`` and the cost benchmarks agree byte-for-byte.
     """
-    trace = Trace(record_events=False)
+    trace = Trace()
     trace.rounds = rounds
     trace.transmissions = transmissions
     trace.deliveries = deliveries

@@ -14,8 +14,9 @@ graded :class:`~repro.radio.run.BroadcastOutcome`.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import compress
-from typing import Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
+from typing import Dict, List, Optional, Sequence, TYPE_CHECKING
 
 from repro.errors import ConfigurationError
 from repro.geometry.coords import Coord
@@ -60,24 +61,25 @@ __all__ = [
 #: every reachable round works; rounds are bounded by max_rounds).
 _NEVER = 2**62
 
-#: Memoized lattices keyed by torus shape (the tables are pure geometry
-#: and dominate setup cost for repeated runs on the same torus).
-_LATTICE_CACHE: Dict[Tuple[int, int, int, str], Lattice] = {}
-_LATTICE_CACHE_MAX = 4
+
+@lru_cache(maxsize=4)
+def _lattice(width: int, height: int, r: int, metric: str) -> Lattice:
+    """The shared :class:`Lattice` for one torus shape.
+
+    The tables are pure geometry and dominate setup cost for repeated
+    runs on the same torus; ``metric`` is a metric *name*, so the cache
+    key is plain data.
+    """
+    return Lattice(Torus(width, height, r, metric))
 
 
 def get_lattice(topology: Torus) -> Lattice:
     """The (memoized) :class:`Lattice` for a torus."""
-    key = (topology.width, topology.height, topology.r, topology.metric.name)
-    lattice = _LATTICE_CACHE.get(key)
-    if lattice is None:
-        lattice = Lattice(topology)
-        if len(_LATTICE_CACHE) >= _LATTICE_CACHE_MAX:
-            # repro: lint-ok[fork-safety] pure-geometry memo; a worker that misses recomputes the identical tables
-            _LATTICE_CACHE.pop(next(iter(_LATTICE_CACHE)))
-        # repro: lint-ok[fork-safety] pure-geometry memo; a worker that misses recomputes the identical tables
-        _LATTICE_CACHE[key] = lattice
-    return lattice
+    if not isinstance(topology, Torus):
+        return Lattice(topology)  # raises the named ConfigurationError
+    return _lattice(
+        topology.width, topology.height, topology.r, topology.metric.name
+    )
 
 
 def fastpath_unsupported_reason(
@@ -86,8 +88,8 @@ def fastpath_unsupported_reason(
     """Why ``scenario`` cannot run on the fastpath backend, or ``None``.
 
     The checks cover scenario *structure*; per-run instrumentation
-    (event recording, profilers, non-RunMetrics observers) is checked
-    at :func:`run_fastpath_broadcast` time.
+    (profilers, non-RunMetrics observers) is checked at
+    :func:`run_fastpath_broadcast` time.
     """
     if scenario.protocol not in FASTPATH_PROTOCOLS:
         return (
@@ -128,7 +130,6 @@ def fastpath_unsupported_reason(
 
 def _check_run_args(
     scenario: "BroadcastScenario",
-    record_events: bool,
     observers: Optional[Sequence[object]],
     profiler: Optional[object],
 ) -> List[RunMetrics]:
@@ -141,16 +142,16 @@ def _check_run_args(
         raise ConfigurationError(
             f"max_rounds must be >= 1, got {scenario.max_rounds}"
         )
+    for node, rnd in scenario.crash_round.items():
+        if rnd < 0:
+            raise ConfigurationError(
+                f"crash round for {node} must be >= 0, got {rnd}"
+            )
     # same error the reference source process raises in on_start --
     # a None source value means "not the source" to every protocol
     if scenario.value is None:
         raise ConfigurationError(
             f"source node {scenario.source} has no source_value"
-        )
-    if record_events:
-        raise ConfigurationError(
-            'engine="fastpath" does not record per-event traces; use '
-            'engine="reference" for record_events/JSONL runs'
         )
     if profiler is not None:
         raise ConfigurationError(
@@ -172,7 +173,6 @@ def _check_run_args(
 
 def run_fastpath_broadcast(
     scenario: "BroadcastScenario",
-    record_events: bool = False,
     observers: Optional[Sequence[object]] = None,
     profiler: Optional[object] = None,
 ) -> BroadcastOutcome:
@@ -184,9 +184,7 @@ def run_fastpath_broadcast(
     byte-for-byte by the differential suite.
     """
     np = require_numpy()
-    metrics_observers = _check_run_args(
-        scenario, record_events, observers, profiler
-    )
+    metrics_observers = _check_run_args(scenario, observers, profiler)
     lattice = get_lattice(scenario.topology)
     n = lattice.num_nodes
 

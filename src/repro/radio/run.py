@@ -125,7 +125,6 @@ def run_broadcast(
     crash_round: Optional[Mapping[Coord, int]] = None,
     max_rounds: int = 10_000,
     max_messages: Optional[int] = None,
-    record_events: bool = False,
     channel=None,
     delivery: str = "immediate",
     observers=None,
@@ -152,7 +151,6 @@ def run_broadcast(
         crash_round=crash_round,
         max_rounds=max_rounds,
         max_messages=max_messages,
-        record_events=record_events,
         channel=channel,
         delivery=delivery,
         observers=observers,

@@ -1,45 +1,26 @@
 """Simulation tracing.
 
-A :class:`Trace` records what happened on the air: every transmission,
-optionally every delivery, plus per-round aggregates.  Traces power the
-protocol-cost benchmarks (message and round complexity) and make failed
-runs debuggable; they are off by default because full delivery logs are
-large (every transmission fans out to a whole neighborhood).
+A :class:`Trace` keeps a run's channel aggregates: transmissions,
+channel-level deliveries (every transmission counts its sender's whole
+neighborhood), crashes and rounds, with transmissions also counted per
+node and per round.  Traces power the protocol-cost benchmarks (message
+and round complexity).  The per-event log of a run is
+:class:`~repro.obs.export.JsonlRecorder`, an engine observer.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Dict, Tuple
 
 from repro.geometry.coords import Coord
 from repro.radio.messages import Envelope
 
 
-@dataclass(frozen=True)
-class TraceEvent:
-    """One logged channel event.
-
-    ``kind`` is ``"tx"`` for a transmission or ``"crash"`` for a node
-    crash becoming effective.  Deliveries are not logged individually
-    (derivable: a tx is delivered to the sender's whole neighborhood) but
-    are counted in the aggregates.
-    """
-
-    kind: str
-    round: int
-    slot: int
-    node: Coord
-    payload: Any = None
-    seq: Optional[int] = None
-
-
 @dataclass
 class Trace:
-    """Accumulates events and aggregates during a simulation run."""
+    """Accumulates aggregates during a simulation run."""
 
-    record_events: bool = False
-    events: List[TraceEvent] = field(default_factory=list)
     transmissions: int = 0
     deliveries: int = 0
     rounds: int = 0
@@ -53,29 +34,13 @@ class Trace:
         self.deliveries += fanout
         self.tx_by_node[env.sender] = self.tx_by_node.get(env.sender, 0) + 1
         self.tx_by_round[env.round] = self.tx_by_round.get(env.round, 0) + 1
-        if self.record_events:
-            self.events.append(
-                TraceEvent(
-                    kind="tx",
-                    round=env.round,
-                    slot=env.slot,
-                    node=env.sender,
-                    payload=env.payload,
-                    seq=env.seq,
-                )
-            )
 
     def on_crash(self, node: Coord, round_: int) -> None:
         """Record a crash taking effect at the start of ``round_``.
 
-        The engine announces each crash exactly once; the count feeds
-        :meth:`summary` whether or not events are recorded.
+        The engine announces each crash exactly once.
         """
         self.crashes += 1
-        if self.record_events:
-            self.events.append(
-                TraceEvent(kind="crash", round=round_, slot=-1, node=node)
-            )
 
     def on_round_end(self, round_: int) -> None:
         """Mark a completed round."""

@@ -105,6 +105,29 @@ class TestCommands:
         assert code == 2
         assert "no Byzantine-capable fastpath kernel" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "extra, reason",
+        [
+            # the default Byzantine protocol is bv-two-hop
+            ((), "protocol 'bv-two-hop' has no Byzantine-capable fastpath"),
+            (
+                ("--protocol", "cpa", "--byz-strategy", "noise"),
+                "Byzantine strategy 'noise' runs arbitrary node code",
+            ),
+        ],
+    )
+    def test_adversary_refuses_fastpath_byzantine_through_the_spec(
+        self, capsys, extra, reason
+    ):
+        code = main([
+            "adversary", "byzantine", "--r", "1", "--t", "1",
+            "--budget", "1", "--engine", "fastpath", "--no-cache", *extra,
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith('repro adversary: engine="fastpath" cannot')
+        assert reason in err
+
     def test_demo_safe_run_exit_zero(self, capsys):
         code = main(
             [

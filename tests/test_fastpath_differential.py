@@ -36,9 +36,11 @@ from hypothesis import given, settings
 from repro.core.thresholds import cpa_linf_max_t, crash_linf_max_t
 from repro.errors import ConfigurationError
 from repro.experiments.scenarios import (
+    BroadcastScenario,
     byzantine_broadcast_scenario,
     crash_broadcast_scenario,
 )
+from repro.grid.torus import Torus
 from repro.obs.export import canonical_json
 from repro.obs.metrics import RunMetrics
 from repro.radio.fastpath import HAVE_NUMPY
@@ -303,6 +305,24 @@ def test_zero_round_run_rejected(engine):
         ConfigurationError, match=r"max_rounds must be >= 1, got 0"
     ):
         observe(point, engine)
+
+
+@pytest.mark.parametrize("protocol", ("crash-flood", "cpa", "bv-two-hop"))
+@pytest.mark.parametrize("engine", ("reference", "fastpath"))
+def test_negative_crash_round_rejected(engine, protocol):
+    """A crash round below 0 is a configuration error on both backends,
+    with the same message (rejection parity)."""
+    scenario = BroadcastScenario(
+        topology=Torus.square(5, 1),
+        protocol=protocol,
+        t=1,
+        crash_round={(2, 2): -1},
+        engine=engine,
+    )
+    with pytest.raises(
+        ConfigurationError, match=r"crash round for \(2, 2\) must be >= 0"
+    ):
+        scenario.run()
 
 
 @pytest.mark.parametrize("engine", ("reference", "fastpath"))

@@ -12,7 +12,7 @@ import weakref
 
 import pytest
 
-from repro.errors import ConfigurationError, SimulationLimitError
+from repro.errors import ConfigurationError
 from repro.grid.factory import make_topology
 from repro.grid.tdma import TDMASchedule, make_schedule, sequential_schedule
 from repro.grid.torus import Torus
@@ -224,18 +224,6 @@ class TestLimits:
         assert not res.quiescent
         assert res.rounds == 5
 
-    def test_round_limit_raise(self):
-        t = Torus.square(5, 1)
-
-        class Chatter(NodeProcess):
-            def on_round(self, ctx):
-                ctx.broadcast("x")
-
-        with pytest.raises(SimulationLimitError):
-            Engine(
-                t, {(0, 0): Chatter()}, max_rounds=3, on_limit="raise"
-            ).run()
-
     def test_message_limit(self):
         t = Torus.square(5, 1)
         res = Engine(
@@ -263,10 +251,6 @@ class TestLimits:
             "ef5bba92452a80d5bc408027bc1c1bb10dfb24552baac4c2b829b6f8a1649f9e",
             139,
         )
-
-    def test_bad_on_limit(self):
-        with pytest.raises(ConfigurationError):
-            Engine(Torus.square(5, 1), {}, on_limit="explode")
 
     def test_bad_max_rounds(self):
         with pytest.raises(ConfigurationError):

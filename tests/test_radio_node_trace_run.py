@@ -113,16 +113,6 @@ class TestTrace:
     def test_busiest_round_empty(self):
         assert Trace().busiest_round() == (-1, 0)
 
-    def test_event_recording_toggle(self):
-        tr = Trace(record_events=True)
-        tr.on_transmission(Envelope((0, 0), "m", 0, 0, 0), 4)
-        tr.on_crash((1, 1), 2)
-        kinds = [e.kind for e in tr.events]
-        assert kinds == ["tx", "crash"]
-        tr2 = Trace(record_events=False)
-        tr2.on_transmission(Envelope((0, 0), "m", 0, 0, 0), 4)
-        assert tr2.events == []
-
 
 class TestGrading:
     def _result(self, processes):
@@ -229,12 +219,6 @@ class TestTraceCrashCounting:
         tr.on_crash((2, 2), 0)
         assert tr.crashes == 2
         assert tr.summary()["crashes"] == 2
-
-    def test_crash_counted_without_event_recording(self):
-        tr = Trace(record_events=False)
-        tr.on_crash((1, 1), 0)
-        assert tr.crashes == 1
-        assert tr.events == []
 
     def test_dead_from_start_announced_once(self):
         """A node dead from round 0 is skipped both in _start and in round
