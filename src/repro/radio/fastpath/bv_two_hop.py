@@ -75,10 +75,11 @@ def run_bv_two_hop_kernel(
 ) -> KernelStats:
     """Simulate bv-two-hop on ``lattice`` and return its statistics.
 
-    Arguments match :func:`~repro.radio.fastpath.crash_flood.
-    run_crash_flood_kernel`, plus the protocol's fault budget ``t`` and
-    the broadcast ``value`` (needed because the evidence index keys
-    chains by value, exactly as the reference protocol does).
+    Arguments match :func:`~repro.radio.fastpath.propagation.
+    run_propagation_kernel` without ``k`` and ``byz_plans`` (faults
+    here are crashes only), plus the protocol's fault budget ``t``; the
+    evidence index keys chains by ``value``, exactly as the reference
+    protocol does.
     """
     require_numpy()  # fail the same way as the vectorized kernels
     stats = KernelStats()

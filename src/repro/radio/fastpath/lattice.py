@@ -165,12 +165,6 @@ class Lattice:
             return self.nbr_idx[idxs]
         return self._x_flat[self.xs[idxs]] + self._y_wrap[self.ys[idxs]]
 
-    def ball_of(self, idx: int):
-        """``(K,)`` receiver flat indices for one transmitter."""
-        if self._use_table:
-            return self.nbr_idx[idx]
-        return self._x_flat[self.xs[idx]] + self._y_wrap[self.ys[idx]]
-
     # -- derived fields ----------------------------------------------------
 
     def distance_from(self, source: Coord):
@@ -215,9 +209,3 @@ class Lattice:
             self._dist_cache.pop(next(iter(self._dist_cache)))
         self._dist_cache[(sx, sy)] = dist
         return dist
-
-    def localize(self, node: Coord, other: Coord) -> Coord:
-        """``other`` in ``node``'s unwrapped local frame (the fastpath
-        twin of :meth:`repro.radio.node.Context.localize`)."""
-        dx, dy = self.topology.toroidal_delta(node, other)
-        return (node[0] + dx, node[1] + dy)

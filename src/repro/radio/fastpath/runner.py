@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import compress
-from typing import Dict, List, Optional, Sequence, TYPE_CHECKING
+from typing import Any, Dict, List, Optional, Sequence, TYPE_CHECKING
 
 from repro.errors import ConfigurationError
 from repro.geometry.coords import Coord
@@ -34,15 +34,14 @@ from repro.radio.fastpath.byzantine import (
     classify_unsupported_reason,
 )
 from repro.radio.fastpath.compat import require_numpy
-from repro.radio.fastpath.cpa import run_cpa_kernel
-from repro.radio.fastpath.crash_flood import run_crash_flood_kernel
 from repro.radio.fastpath.lattice import Lattice
+from repro.radio.fastpath.propagation import NEVER, run_propagation_kernel
 from repro.radio.fastpath.result import (
     FastSimulationResult,
     build_processes,
     build_trace,
 )
-from repro.radio.fastpath.stats import SourceTracker
+from repro.radio.fastpath.stats import KernelStats, SourceTracker
 from repro.radio.run import BroadcastOutcome, grade_outcome
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -56,11 +55,6 @@ __all__ = [
     "run_fastpath_broadcast",
     "validate_engine",
 ]
-
-#: Crash-round sentinel for nodes that never crash (any value above
-#: every reachable round works; rounds are bounded by max_rounds).
-_NEVER = 2**62
-
 
 @lru_cache(maxsize=4)
 def _lattice(width: int, height: int, r: int, metric: str) -> Lattice:
@@ -128,6 +122,18 @@ def fastpath_unsupported_reason(
     return None
 
 
+def run_crash_flood_kernel(lattice: Lattice, **run: Any) -> KernelStats:
+    """Crash-flood on the propagation kernel: every message carries the
+    source's value, so the first one commits (``k = 1``)."""
+    return run_propagation_kernel(lattice, k=1, byz_plans={}, **run)
+
+
+def run_cpa_kernel(lattice: Lattice, *, t: int, **run: Any) -> KernelStats:
+    """CPA on the propagation kernel: ``t + 1`` matching announcements
+    from distinct neighbours commit (``k = t + 1``)."""
+    return run_propagation_kernel(lattice, k=t + 1, **run)
+
+
 def _check_run_args(
     scenario: "BroadcastScenario",
     observers: Optional[Sequence[object]],
@@ -192,10 +198,9 @@ def run_fastpath_broadcast(
     correct_mask = np.ones(n, dtype=bool)
     for node in sorted(scenario.faulty_nodes):
         correct_mask[flat(node)] = False
-    crash_rounds = np.full(n, _NEVER, dtype=np.int64)
+    crash_rounds = np.full(n, NEVER, dtype=np.int64)
     for node, rnd in scenario.crash_round.items():
         crash_rounds[flat(node)] = rnd
-    source_idx = lattice.flat(scenario.source)
 
     trackers_by_source: Dict[Coord, SourceTracker] = {}
     for obs in metrics_observers:
@@ -208,46 +213,29 @@ def run_fastpath_broadcast(
             )
     trackers = list(trackers_by_source.values())
 
+    run = dict(
+        source_idx=lattice.flat(scenario.source),
+        value=scenario.value,
+        correct=correct_mask,
+        crash_rounds=crash_rounds,
+        max_rounds=scenario.max_rounds,
+        max_messages=scenario.max_messages,
+        trackers=trackers,
+    )
     if scenario.protocol == "crash-flood":
-        stats = run_crash_flood_kernel(
-            lattice,
-            source_idx=source_idx,
-            correct=correct_mask,
-            crash_rounds=crash_rounds,
-            max_rounds=scenario.max_rounds,
-            max_messages=scenario.max_messages,
-            trackers=trackers,
-        )
+        stats = run_crash_flood_kernel(lattice, **run)
     elif scenario.protocol == "cpa":
         plans = build_plans(
             scenario.byzantine_processes, scenario.topology.r
         )
         stats = run_cpa_kernel(
             lattice,
-            source_idx=source_idx,
-            value=scenario.value,
             t=scenario.t,
-            correct=correct_mask,
-            crash_rounds=crash_rounds,
-            byz_plans={
-                lattice.flat(node): plan for node, plan in plans.items()
-            },
-            max_rounds=scenario.max_rounds,
-            max_messages=scenario.max_messages,
-            trackers=trackers,
+            byz_plans={flat(node): plan for node, plan in plans.items()},
+            **run,
         )
     else:
-        stats = run_bv_two_hop_kernel(
-            lattice,
-            source_idx=source_idx,
-            value=scenario.value,
-            t=scenario.t,
-            correct=correct_mask,
-            crash_rounds=crash_rounds,
-            max_rounds=scenario.max_rounds,
-            max_messages=scenario.max_messages,
-            trackers=trackers,
-        )
+        stats = run_bv_two_hop_kernel(lattice, t=scenario.t, **run)
 
     trace = build_trace(
         rounds=stats.rounds,

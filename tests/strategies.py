@@ -19,7 +19,7 @@ contract (see ``docs/ENGINES.md``).
 from __future__ import annotations
 
 import random
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from hypothesis import strategies as st
 
@@ -116,8 +116,15 @@ def make_byz_point(
     placement: str = "random",
     max_rounds: int = 48,
     max_messages: Optional[int] = None,
+    faults: Optional[List[Tuple[int, int]]] = None,
+    enforce_budget: bool = True,
 ) -> Dict[str, Any]:
-    """One Byzantine differential point (CPA, fixed-strategy faults)."""
+    """One Byzantine differential point (CPA, fixed-strategy faults).
+
+    ``faults`` is the fault set of an ``explicit`` placement; with
+    ``enforce_budget=False`` a strip or explicit placement is not
+    trimmed to ``t``, so correct nodes can commit a wrong value.
+    """
     assert side >= 2 * r + 1, "torus side must fit the radius"
     assert strategy in DIFF_BYZ_STRATEGIES
     return {
@@ -130,6 +137,8 @@ def make_byz_point(
         "placement": placement,
         "max_rounds": max_rounds,
         "max_messages": max_messages,
+        "faults": faults,
+        "enforce_budget": enforce_budget,
     }
 
 
@@ -195,6 +204,53 @@ def sample_byz_points(n: int, *, seed: int = 0) -> List[Dict[str, Any]]:
                 max_rounds=rng.choice((1, 2, 3, 48, 48, 48)),
                 max_messages=rng.choice(
                     (None, None, None, 0, 1, rng.randint(2, 120))
+                ),
+            )
+        )
+    return points
+
+
+def sample_overbudget_points(n: int, *, seed: int = 0) -> List[Dict[str, Any]]:
+    """``n`` deterministic CPA points whose faults exceed the budget.
+
+    Untrimmed strips and dense explicit placements (a fifth to nearly
+    half of the nodes) put more than ``t`` faulty nodes in some balls,
+    so liars, duplicitous nodes and fabricators (in turn) make correct
+    nodes commit a wrong value.  Budgets of 0, 1 and a value that
+    usually trips mid-run, and round caps of 1, 2, 3 and 48, cut those
+    runs.
+    """
+    rng = random.Random(seed)
+    points: List[Dict[str, Any]] = []
+    for i in range(n):
+        strategy = ("liar", "duplicitous", "fabricator")[i % 3]
+        r = rng.choice((1, 1, 2))
+        side = rng.randint(2 * r + 1, 12)
+        faults = None
+        if side >= 2 * (3 * r + 1) and rng.random() < 0.3:
+            placement = "strip"
+        else:
+            placement = "explicit"
+            nodes = [
+                (x, y) for x in range(side) for y in range(side)
+                if (x, y) != (0, 0)  # the source stays correct
+            ]
+            dense = round(len(nodes) * rng.uniform(0.2, 0.45))
+            faults = sorted(rng.sample(nodes, dense))
+        points.append(
+            make_byz_point(
+                strategy=strategy,
+                r=r,
+                side=side,
+                t=rng.randint(0, 3),
+                seed=rng.randrange(2**16),
+                metric=rng.choice(DIFF_METRICS),
+                placement=placement,
+                faults=faults,
+                enforce_budget=False,
+                max_rounds=rng.choice((1, 2, 3, 48, 48, 48)),
+                max_messages=rng.choice(
+                    (None, None, 0, 1, rng.randint(2, 60))
                 ),
             )
         )

@@ -8,9 +8,10 @@ same grading facts.  This suite enforces that contract three ways:
 1. a deterministic bulk sweep over 200+ randomized points spanning all
    three kernel protocols, both placements, all three metrics, message
    budgets, round caps, and staggered crashes
-   (``tests/strategies.sample_points``), plus a second sweep over
-   fixed-strategy Byzantine CPA points
-   (``tests/strategies.sample_byz_points``);
+   (``tests/strategies.sample_points``), plus sweeps over
+   fixed-strategy Byzantine CPA points within the budget
+   (``tests/strategies.sample_byz_points``) and over it, where correct
+   nodes commit wrong values (``sample_overbudget_points``);
 2. shrinking hypothesis properties over the same spaces
    (``tests/strategies.diff_points`` / ``byz_diff_points``) that
    minimize any divergence to a small reportable scenario;
@@ -22,8 +23,9 @@ same grading facts.  This suite enforces that contract three ways:
 Plus regression pins for the awkward edges both backends must agree on:
 zero-round runs, all-relays-dead-from-start, message budgets that trip
 mid-frame (``result.rounds`` pinned on both), the budget and round-cap
-boundaries of the crash-flood kernel's prefix cuts, and a crash that
-lands after its node has heard the flood.
+boundaries of the propagation kernel's prefix cuts under crash and
+Byzantine faults, and a crash that lands after its node has heard the
+flood.
 """
 
 from __future__ import annotations
@@ -50,6 +52,7 @@ from tests.strategies import (
     make_byz_point,
     make_point,
     sample_byz_points,
+    sample_overbudget_points,
     sample_points,
 )
 
@@ -62,6 +65,9 @@ N_BULK_POINTS = 220
 
 #: Byzantine bulk sweep size (4 fixed strategies, even split)
 N_BYZ_POINTS = 120
+
+#: over-budget CPA sweep size (3 value-fault strategies, even split)
+N_OVERBUDGET_POINTS = 200
 
 
 def _build(point: Dict[str, Any], engine: str):
@@ -105,6 +111,8 @@ def _build_byz(point: Dict[str, Any], engine: str):
         seed=point["seed"],
         torus_side=point["side"],
         max_rounds=point["max_rounds"],
+        faults=point["faults"],
+        enforce_budget=point["enforce_budget"],
         engine=engine,
     )
     sc.max_messages = point["max_messages"]
@@ -180,6 +188,22 @@ def test_differential_byzantine_bulk_sweep():
     assert strategies == {"silent", "liar", "duplicitous", "fabricator"}
     for point in points:
         assert_engines_agree(point, builder=_build_byz)
+
+
+def test_differential_overbudget_sweep():
+    """CPA under more faults than its budget, byte-equal on every
+    observable.  Untrimmed strips and dense explicit placements let
+    liars, duplicitous nodes and fabricators win ``t + 1``-matching
+    tallies, so correct nodes commit the wrong value, and budgets and
+    round caps cut those runs; at least a quarter of the points must
+    show a wrong commit, or the sweep pins nothing of it."""
+    points = sample_overbudget_points(N_OVERBUDGET_POINTS, seed=0)
+    wrong = 0
+    for point in points:
+        obs = assert_engines_agree(point, builder=_build_byz)
+        # the scenario value is 1; Byzantine processes report None
+        wrong += any(v not in (None, 1) for v in obs["committed"].values())
+    assert wrong >= len(points) // 4, wrong
 
 
 # -- 2. shrinking property -----------------------------------------------
@@ -391,11 +415,24 @@ def test_budget_trips_mid_frame(engine):
     assert obs["trace"]["transmissions"] <= 3
 
 
-# The crash-flood kernel reads every run off its fires in (time, node)
-# order and cuts that order at the round cap and the message budget;
-# these pins sit on each cut's boundary.  Side 13 is not divisible by
-# 2r+1 = 5 (one node per TDMA slot); side 10 is (the coloring schedule).
+# The kernels read every run off its messages in (time, node) order and
+# cut that order at the round cap and the message budget; these pins sit
+# on each cut's boundary.  An int case is a crash-flood point on a torus
+# of that side: 13 is not divisible by 2r+1 = 5 (one node per TDMA
+# slot), 10 is (the coloring schedule).  The CPA cases run on the r=1
+# strip of a 12x12 torus, whose node (3, 3) shares the source's slot
+# and transmits right after it: a two-COMMITTED burst when duplicitous,
+# a COMMITTED and its junk burst when a fabricator, one COMMITTED when
+# a liar.  The fabricator run also ends on a junk burst of reactions.
+# At t = 8, CPA needs t + 1 = 9 matching announcements, more than the
+# 8-node ball holds, so only SRC commits.
 BOUNDARY_SIDES = (13, 10)
+_CPA_BOUNDARY = {
+    "cpa-duplicitous": ("duplicitous", 2),
+    "cpa-fabricator": ("fabricator", 2),
+    "cpa-t-beyond-ball": ("liar", 8),
+}
+BOUNDARY_CASES = BOUNDARY_SIDES + tuple(_CPA_BOUNDARY)
 
 
 def _boundary_point(side: int, **overrides: Any) -> Dict[str, Any]:
@@ -404,13 +441,28 @@ def _boundary_point(side: int, **overrides: Any) -> Dict[str, Any]:
     return point
 
 
-@pytest.mark.parametrize("side", BOUNDARY_SIDES)
+def _boundary_run(case, **overrides: Any) -> Dict[str, Any]:
+    """Boundary ``case`` with ``overrides``, observed on both engines."""
+    if case in _CPA_BOUNDARY:
+        strategy, t = _CPA_BOUNDARY[case]
+        point = make_byz_point(
+            strategy=strategy, r=1, side=12, t=t, seed=7, placement="strip"
+        )
+        point.update(overrides)
+        return assert_engines_agree(point, builder=_build_byz)
+    return assert_engines_agree(_boundary_point(case, **overrides))
+
+
+@pytest.mark.parametrize("case", BOUNDARY_CASES)
 @pytest.mark.parametrize("budget", (0, 1, 2, 3))
-def test_budget_inside_the_first_frame(side, budget):
+def test_budget_inside_the_first_frame(case, budget):
     """Budgets 0-3 stop in round 0: 0 before the source's burst, 1
     between its SRC and COMMITTED messages (the source's ball still
-    hears SRC and commits), 2 right after it, 3 after one relay."""
-    obs = assert_engines_agree(_boundary_point(side, max_messages=budget))
+    hears SRC and commits), 2 right after it, 3 after one more message:
+    a relay under crash faults; on the CPA strips, inside the
+    duplicitous burst, before the fabricator's junk or after the
+    liar's announcement."""
+    obs = _boundary_run(case, max_messages=budget)
     assert obs["grade"]["hit_message_limit"]
     assert obs["grade"]["rounds"] == 1
     assert obs["trace"]["transmissions"] == budget
@@ -418,38 +470,51 @@ def test_budget_inside_the_first_frame(side, budget):
     assert (committed == 1) == (budget == 0)
 
 
-@pytest.mark.parametrize("side", BOUNDARY_SIDES)
-def test_budget_at_and_one_below_the_run_total(side):
+@pytest.mark.parametrize("case", BOUNDARY_CASES)
+def test_budget_at_and_one_below_the_run_total(case):
     """A budget equal to the unconstrained total never trips (the check
     runs before a send); one less trips on the very last message, in
     the last transmitting round."""
-    free = assert_engines_agree(_boundary_point(side))
+    free = _boundary_run(case)
     assert free["grade"]["quiescent"]
     total = free["trace"]["transmissions"]
-    assert assert_engines_agree(_boundary_point(side, max_messages=total)) == free
-    short = assert_engines_agree(
-        _boundary_point(side, max_messages=total - 1)
-    )
+    assert _boundary_run(case, max_messages=total) == free
+    short = _boundary_run(case, max_messages=total - 1)
     assert short["grade"]["hit_message_limit"]
     assert short["grade"]["rounds"] == free["grade"]["rounds"] - 1
     assert short["trace"]["transmissions"] == total - 1
 
 
-@pytest.mark.parametrize("side", BOUNDARY_SIDES)
-def test_round_cap_at_the_last_transmitting_round(side):
+@pytest.mark.parametrize("case", BOUNDARY_CASES)
+def test_round_cap_at_the_last_transmitting_round(case):
     """A quiescent run takes (last transmitting round) + 2 rounds.  A cap
     of last + 1 lets every transmission happen yet trips the round
     limit; last + 2 leaves room for the silent round, so the run is
-    unchanged."""
-    free = assert_engines_agree(_boundary_point(side))
+    unchanged.  A cap of last drops the last round, and with it the
+    fabricator reactions pending for it."""
+    free = _boundary_run(case)
     rounds = free["grade"]["rounds"]
-    capped = assert_engines_agree(_boundary_point(side, max_rounds=rounds - 1))
+    capped = _boundary_run(case, max_rounds=rounds - 1)
     assert capped["grade"]["hit_round_limit"]
     assert not capped["grade"]["quiescent"]
     assert capped["grade"]["rounds"] == rounds - 1
     assert capped["committed"] == free["committed"]
     assert capped["trace"]["transmissions"] == free["trace"]["transmissions"]
-    assert assert_engines_agree(_boundary_point(side, max_rounds=rounds)) == free
+    assert _boundary_run(case, max_rounds=rounds) == free
+    if rounds > 2:  # a cap of 0 rounds is refused
+        cut = _boundary_run(case, max_rounds=rounds - 2)
+        assert cut["grade"]["hit_round_limit"]
+        assert cut["grade"]["rounds"] == rounds - 2
+        assert cut["trace"]["transmissions"] < free["trace"]["transmissions"]
+
+
+def test_cpa_commits_only_on_src_when_t_plus_1_exceeds_the_ball():
+    """With t + 1 above the ball size no tally can commit: the source
+    and the eight correct nodes of its ball hear SRC, nobody else
+    commits, and the liars next to them change nothing."""
+    free = _boundary_run("cpa-t-beyond-ball")
+    committed = [v for v in free["committed"].values() if v is not None]
+    assert committed == [1] * 9
 
 
 #: a faulty node in the source's ball that crashes in round 1, next to a
