@@ -14,23 +14,15 @@ the simulator's reproducibility contract:
   mechanism);
 - :mod:`repro.exec.campaign` -- work-unit planning: trial ranges
   chunked into content-addressed units;
-- :mod:`repro.exec.backends` -- the execution backends behind one
-  protocol: in-process ``serial`` and one-box ``pool``;
 - :mod:`repro.exec.executor` -- :class:`SweepExecutor`, which plans,
-  probes the cache, computes the misses on a backend, banks each
-  completion, and assembles rows in plan order, plus execution
-  statistics.
+  probes the cache, computes the misses in-process or on a one-box
+  pool, banks each completion, and assembles rows in plan order, plus
+  execution statistics.
 
 See ``docs/EXECUTION.md`` for the design and the CLI (``repro sweep``,
 ``repro runtable``).
 """
 
-from repro.exec.backends import (
-    BackendError,
-    ExecutionBackend,
-    PoolBackend,
-    SerialBackend,
-)
 from repro.exec.cache import (
     CACHE_SCHEMA_VERSION,
     DEFAULT_CACHE_DIR,
@@ -60,15 +52,12 @@ from repro.exec.seeds import SEED_BITS, derive_seed
 from repro.exec.specs import KINDS, ScenarioSpec, build_scenario, run_trial
 
 __all__ = [
-    "BackendError",
     "CACHE_SCHEMA_VERSION",
     "DEFAULT_CACHE_DIR",
     "DEFAULT_CHUNK_SIZE",
     "ExecStats",
-    "ExecutionBackend",
     "FACTOR_FIELDS",
     "KINDS",
-    "PoolBackend",
     "RUNTABLE_SCHEMA",
     "ResultCache",
     "RunTable",
@@ -76,7 +65,6 @@ __all__ = [
     "RunUnit",
     "SEED_BITS",
     "ScenarioSpec",
-    "SerialBackend",
     "SweepExecutor",
     "SweepRunResult",
     "UnitState",

@@ -24,13 +24,10 @@ puts a million entries in one directory (directory-scan cost is what
 kills flat content stores at fleet scale, and per-shard subtrees can be
 rsynced / mounted / garbage-collected independently).
 
-The *flat* layout (``{key}.json`` directly under the root) that shipped
-before the sharded store is still read: :meth:`ResultCache.get` falls
-back to the flat path on a shard miss and -- when the flat entry is
-valid -- atomically *promotes* the file into its shard via
-``os.replace``.  A rename preserves bytes exactly, so a warm flat cache
-migrates in place with 100% hits and byte-identical entries, one unit at
-a time, with no migration step to schedule.
+Entries in the *flat* layout (``{key}.json`` directly under the root)
+that shipped before the sharded store are never read: they predate row
+changes their keys cannot tell apart, so serving them would be a stale
+hit.  A flat entry's unit is recomputed into its shard instead.
 
 Writes are atomic and durable: the temp file is flushed and ``fsync``\\ ed
 before ``os.replace`` moves it into place (so a crash mid-write can
@@ -51,9 +48,6 @@ from repro._version import __version__
 
 #: Bump when the cached row schema or the seed-derivation scheme changes
 #: incompatibly; old cache entries then miss instead of lying.
-#: (The flat->sharded *layout* change deliberately did NOT bump this:
-#: keys are unchanged and flat entries remain readable, so warm caches
-#: survive the migration.)
 CACHE_SCHEMA_VERSION = 1
 
 #: Name of the shard-tree directory under the cache root.
@@ -142,27 +136,21 @@ class ResultCache:
         """Canonical (sharded) location of a unit with ``key``."""
         return self.shard_for(key) / f"{key}.json"
 
-    def flat_path_for(self, key: str) -> pathlib.Path:
-        """Legacy pre-shard location, still read (and promoted) by
-        :meth:`get`."""
-        return self.root / f"{key}.json"
-
     def entry_paths(self) -> Iterator[pathlib.Path]:
-        """Every entry file currently on disk, sharded then flat,
-        lexicographic within each layout (deterministic order)."""
+        """Every shard entry file currently on disk, in lexicographic
+        (deterministic) order."""
         try:
             yield from sorted((self.root / SHARD_DIR).glob("??/*.json"))
-            yield from sorted(self.root.glob("*.json"))
         except OSError:  # pragma: no cover - racing removal
             return
 
     # -- read ---------------------------------------------------------------
 
-    def _load(
-        self, path: pathlib.Path, key: str
-    ) -> Optional[List[Dict[str, Any]]]:
-        """Rows stored at ``path`` for ``key``, or ``None``; corrupt or
-        torn files are deleted so they cannot shadow a later write."""
+    def get(self, key: str) -> Optional[List[Dict[str, Any]]]:
+        """The cached rows for ``key``, or ``None`` on miss/corruption;
+        corrupt or torn files are deleted so they cannot shadow a later
+        write."""
+        path = self.path_for(key)
         try:
             raw = path.read_text(encoding="utf-8")
         except OSError:
@@ -183,29 +171,6 @@ class ResultCache:
             except OSError:  # pragma: no cover - concurrent cleanup
                 pass
             return None
-        return rows
-
-    def get(self, key: str) -> Optional[List[Dict[str, Any]]]:
-        """The cached rows for ``key``, or ``None`` on miss/corruption.
-
-        Checks the sharded location first, then the legacy flat layout;
-        a valid flat entry is atomically promoted into its shard (a
-        byte-preserving ``os.replace``) so the store converges to the
-        sharded layout as it is read.
-        """
-        rows = self._load(self.path_for(key), key)
-        if rows is not None:
-            return rows
-        flat = self.flat_path_for(key)
-        rows = self._load(flat, key)
-        if rows is None:
-            return None
-        # migration shim: promote the still-valid flat entry in place
-        try:
-            self.shard_for(key).mkdir(parents=True, exist_ok=True)
-            os.replace(flat, self.path_for(key))
-        except OSError:  # pragma: no cover - read-only cache roots
-            pass
         return rows
 
     def contains(self, key: str) -> bool:
@@ -254,5 +219,5 @@ class ResultCache:
         return path
 
     def __len__(self) -> int:
-        """Number of entry files currently on disk (both layouts)."""
+        """Number of shard entry files currently on disk."""
         return sum(1 for _ in self.entry_paths())

@@ -2,9 +2,9 @@
 
 A sweep is a list of :class:`~repro.exec.specs.ScenarioSpec`; planning
 chunks every spec's trial range into *work units* and gives each unit
-its cache key.  Chunking is identical for every backend and worker
-count, because the key embeds the unit's trial indices: a unit chunked
-differently would never be found in the cache again.
+its cache key.  Chunking is identical for every worker count, because
+the key embeds the unit's trial indices: a unit chunked differently
+would never be found in the cache again.
 
 :class:`~repro.exec.executor.SweepExecutor` runs the plan: it probes the
 cache for each unit, computes the misses, banks each completion, and

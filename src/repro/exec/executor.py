@@ -8,15 +8,14 @@ call walks the whole pipeline:
    work units (:func:`repro.exec.campaign.plan_units`);
 2. **probe** -- look each unit up in the :class:`~repro.exec.cache.
    ResultCache` and keep only the misses;
-3. **compute** -- run the misses on an :class:`~repro.exec.backends.
-   base.ExecutionBackend`: in-process (``serial``, the ``workers=1``
-   default) or a one-box ``multiprocessing`` pool (``pool``, for
-   ``workers>1``);
-4. **bank** -- write every completed unit to the cache the moment the
-   backend reports it, so an interrupted sweep resumes from its last
-   completed unit;
+3. **compute** -- run the misses in the calling process, in order
+   (``workers=1``, the default, or at most one pending unit), or on a
+   one-box ``multiprocessing`` pool (``workers>1``);
+4. **bank** -- write every completed unit to the cache the moment it
+   completes, so an interrupted sweep resumes from its last completed
+   unit;
 5. **assemble** -- concatenate unit rows in plan order, whatever order
-   the backend completed them in.
+   the pool completed them in.
 
 Determinism contract
 --------------------
@@ -26,32 +25,30 @@ The executor's output is a pure function of ``(specs, root_seed)``:
   on ``(root_seed, spec.scenario_key(), trial_index)``, never from
   worker identity or execution order;
 - work units are chunks of *trial indices*, chunked the same way
-  regardless of worker count or backend;
+  regardless of worker count;
 - rows are assembled in plan order (spec order, trial-index order).
 
 So serial, parallel, cached, and resumed runs all produce byte-identical
-row lists -- pinned by ``tests/test_exec_golden.py`` and cross-backend
-by ``tests/test_exec_campaign.py``.
+row lists -- pinned by ``tests/test_exec_golden.py`` and across worker
+counts by ``tests/test_exec_campaign.py``.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
 from repro.exec import campaign
-from repro.exec.backends import (
-    BackendError,
-    ExecutionBackend,
-    PoolBackend,
-    SerialBackend,
-)
-from repro.exec.backends.base import UnitPayload
 from repro.exec.cache import ResultCache
 from repro.exec.seeds import derive_seed
 from repro.exec.specs import ScenarioSpec, run_trial
+
+#: One pending work unit as shipped to a worker: its position in the
+#: pending list and ``(spec.as_dict(), root_seed, trial_indices)`` --
+#: plain data, picklable under every start method.
+UnitTask = Tuple[int, Tuple[Dict[str, Any], int, Tuple[int, ...]]]
 
 
 @dataclass
@@ -123,20 +120,43 @@ class SweepRunResult:
     stats: ExecStats = field(default_factory=ExecStats)
 
 
-def _run_unit(payload: UnitPayload) -> List[Dict[str, Any]]:
+def _run_unit(task: UnitTask) -> Tuple[int, List[Dict[str, Any]]]:
     """Worker entry point: run one chunk of trials.
 
-    Takes a plain-data payload (picklable under every start method) and
-    returns the trial rows in index order.  Module-level so
-    ``multiprocessing`` can ship it by reference.
+    Takes a plain-data task (picklable under every start method) and
+    returns its position with the trial rows in index order.
+    Module-level so ``multiprocessing`` can ship it by reference.
     """
-    spec_dict, root_seed, indices = payload
+    position, (spec_dict, root_seed, indices) = task
     spec = ScenarioSpec.from_dict(spec_dict)
     key = spec.scenario_key()
-    return [
+    return position, [
         run_trial(spec, derive_seed(root_seed, key, index))
         for index in indices
     ]
+
+
+def _compute_units(
+    tasks: List[UnitTask], workers: int
+) -> Iterator[Tuple[int, List[Dict[str, Any]]]]:
+    """Yield ``(position, rows)`` for every task as it completes.
+
+    In the calling process and in order for one worker or at most one
+    task, so small sweeps and warm reruns never pay pool start-up; else
+    in whatever order a ``fork`` pool (the platform default where fork
+    is missing) completes them -- the caller re-serializes.
+    """
+    if workers == 1 or len(tasks) <= 1:
+        for task in tasks:
+            yield _run_unit(task)
+        return
+    # imported only here, so `import repro.cli` never loads it
+    import multiprocessing
+
+    fork = "fork" in multiprocessing.get_all_start_methods()
+    ctx = multiprocessing.get_context("fork" if fork else None)
+    with ctx.Pool(processes=min(workers, len(tasks))) as pool:
+        yield from pool.imap_unordered(_run_unit, tasks)
 
 
 class SweepExecutor:
@@ -156,9 +176,6 @@ class SweepExecutor:
         Trials per work unit; keep it identical between runs that should
         share cache entries (see
         :data:`~repro.exec.campaign.DEFAULT_CHUNK_SIZE`).
-    backend:
-        A ready :class:`~repro.exec.backends.base.ExecutionBackend` to
-        run on instead of the one ``workers`` selects.
     """
 
     def __init__(
@@ -166,7 +183,6 @@ class SweepExecutor:
         workers: int = 1,
         cache: Optional[ResultCache] = None,
         chunk_size: int = campaign.DEFAULT_CHUNK_SIZE,
-        backend: Optional[ExecutionBackend] = None,
     ) -> None:
         if workers < 1:
             raise ConfigurationError(f"workers must be >= 1, got {workers}")
@@ -177,15 +193,6 @@ class SweepExecutor:
         self.workers = workers
         self.cache = cache
         self.chunk_size = chunk_size
-        self.backend = backend
-
-    def _resolve_backend(self) -> ExecutionBackend:
-        """The execution backend for one run."""
-        if self.backend is not None:
-            return self.backend
-        if self.workers == 1:
-            return SerialBackend()
-        return PoolBackend(workers=self.workers)
 
     def checkpointed(
         self, specs: Sequence[ScenarioSpec], root_seed: int = 0
@@ -208,9 +215,7 @@ class SweepExecutor:
         for the pipeline and the determinism contract.
 
         Returns one row list per spec (in spec order, rows in
-        trial-index order) plus :class:`ExecStats`.  Raises
-        :class:`~repro.exec.backends.base.BackendError` when the backend
-        finishes without completing every pending unit.
+        trial-index order) plus :class:`ExecStats`.
         """
         started = time.perf_counter()
         units = campaign.plan_units(specs, root_seed, self.chunk_size)
@@ -222,13 +227,12 @@ class SweepExecutor:
             else:
                 pending.append(unit)
 
-        backend = self._resolve_backend()
-        payloads = [
-            (specs[u.spec_index].as_dict(), int(root_seed), u.indices)
-            for u in pending
+        tasks: List[UnitTask] = [
+            (i, (specs[u.spec_index].as_dict(), int(root_seed), u.indices))
+            for i, u in enumerate(pending)
         ]
-        for index, rows in backend.run_units(_run_unit, payloads):
-            unit = pending[index]
+        for position, rows in _compute_units(tasks, self.workers):
+            unit = pending[position]
             unit.rows = rows
             if self.cache is not None:
                 # bank on completion: an interrupted sweep keeps it
@@ -243,15 +247,10 @@ class SweepExecutor:
                 )
 
         per_spec: List[List[Dict[str, Any]]] = [[] for _ in specs]
-        for position, unit in enumerate(units):
-            if unit.rows is None:
-                raise BackendError(
-                    f"backend {backend.name!r} finished without "
-                    f"completing unit {position} (key {unit.key[:12]}...)"
-                )
+        for unit in units:
             per_spec[unit.spec_index].extend(unit.rows)
         stats = ExecStats(
-            workers=backend.workers,
+            workers=self.workers,
             units_total=len(units),
             cache_hits=len(units) - len(pending),
             cache_misses=len(pending),

@@ -8,20 +8,11 @@ module-level mutable that the parent may have mutated -- silently
 diverges between serial (``workers=1``) and parallel runs, breaking the
 executor's byte-identical contract.
 
-The pass finds every function submitted across a process boundary:
-
-- the first argument of ``pool.map`` / ``imap`` / ``apply_async`` /
-  ... on a variable bound from a ``...Pool(...)`` call (the literal
-  multiprocessing idiom), and
-- the first argument of **any** ``.run_units(fn, payloads)`` call --
-  the :class:`~repro.exec.backends.base.ExecutionBackend` protocol
-  method, regardless of receiver.  :meth:`repro.exec.executor.
-  SweepExecutor.run` hands its unit function to whichever backend it
-  resolved, so the pool backend's own ``imap_unordered`` call only
-  ever sees an opaque parameter; this is the site that names the
-  function the pool will ship
-
-and walks its call closure for:
+The pass finds every function submitted across a process boundary --
+the first argument of ``pool.map`` / ``imap`` / ``apply_async`` / ...
+on a variable bound from a ``...Pool(...)`` call, as in the executor's
+``pool.imap_unordered(_run_unit, tasks)`` -- and walks its call
+closure for:
 
 1. **mutable default arguments** -- shared across calls *within* one
    worker but reset per fork: results depend on the chunk-to-worker
@@ -60,11 +51,6 @@ _SUBMIT_METHODS = {
     "map", "imap", "imap_unordered", "starmap", "apply", "apply_async",
     "map_async", "starmap_async", "submit",
 }
-
-#: ExecutionBackend methods whose first argument is a function shipped
-#: to workers -- matched on *any* receiver, because the executor holds
-#: its backend in a local resolved at run time, never a Pool literal
-_BACKEND_SUBMIT_METHODS = {"run_units"}
 
 #: method names that mutate their receiver in place (the model-rule set
 #: plus container extras)
@@ -138,28 +124,9 @@ def _binding_for(
     return model.bindings.get(qn) if qn else None
 
 
-def _record_submitted(
-    model: ProjectModel,
-    fn: FunctionInfo,
-    call: ast.Call,
-    seen: Set[str],
-    entries: List[FunctionInfo],
-) -> None:
-    """Resolve a submission call's first argument to a module function
-    and record it as an entry (once)."""
-    if not call.args or not isinstance(call.args[0], ast.Name):
-        return
-    qn = model.resolve_symbol(fn.module.name, call.args[0].id)
-    target = model.functions.get(qn) if qn else None
-    if target is not None and target.qualname not in seen:
-        seen.add(target.qualname)
-        entries.append(target)
-
-
 def pool_entry_functions(model: ProjectModel) -> List[FunctionInfo]:
     """Every function shipped across a process boundary: passed to a
-    multiprocessing pool, or submitted through any ExecutionBackend's
-    ``run_units``."""
+    submission method of a multiprocessing pool."""
     entries: List[FunctionInfo] = []
     seen: Set[str] = set()
     for qualname in sorted(model.functions):
@@ -181,26 +148,26 @@ def pool_entry_functions(model: ProjectModel) -> List[FunctionInfo]:
                     for tgt in node.targets:
                         if isinstance(tgt, ast.Name):
                             pool_vars.add(tgt.id)
+        if not pool_vars:
+            continue
         for node in ast.walk(fn.node):
+            # only on variables bound from a ...Pool(...) call (method
+            # names like 'map' are far too common to match bare)
             if not (
                 isinstance(node, ast.Call)
                 and isinstance(node.func, ast.Attribute)
-            ):
-                continue
-            # backend protocol submissions: any receiver -- backends
-            # travel as parameters and attributes, so requiring a
-            # resolvable constructor would miss every real site
-            if node.func.attr in _BACKEND_SUBMIT_METHODS:
-                _record_submitted(model, fn, node, seen, entries)
-            # literal multiprocessing submissions: only on variables
-            # bound from a ...Pool(...) call (method names like 'map'
-            # are far too common to match bare)
-            elif (
-                node.func.attr in _SUBMIT_METHODS
+                and node.func.attr in _SUBMIT_METHODS
                 and isinstance(node.func.value, ast.Name)
                 and node.func.value.id in pool_vars
+                and node.args
+                and isinstance(node.args[0], ast.Name)
             ):
-                _record_submitted(model, fn, node, seen, entries)
+                continue
+            qn = model.resolve_symbol(fn.module.name, node.args[0].id)
+            target = model.functions.get(qn) if qn else None
+            if target is not None and target.qualname not in seen:
+                seen.add(target.qualname)
+                entries.append(target)
     return entries
 
 

@@ -117,19 +117,12 @@ class Lattice:
         """Flat index of a coordinate."""
         return self._stencil.flat(node)
 
-    def coord(self, idx: int) -> Coord:
-        """Canonical coordinate of a flat index."""
-        return self._stencil.coord(int(idx))
-
-    def coords(self, idxs) -> List[Coord]:
-        """Canonical coordinates for an iterable of flat indices."""
-        return [self.coord(i) for i in idxs]
-
     @property
     def coords_all(self) -> List[Coord]:
         """Canonical coordinate per flat index (flat order == sorted
-        node order); one C-speed zip instead of N coord() calls, built
-        on first use and kept (result assembly needs it every run)."""
+        node order); one C-speed zip instead of N per-index lookups,
+        built on first use and kept (result assembly needs it every
+        run)."""
         if self._coords_all is None:
             self._coords_all = list(
                 zip(self.xs.tolist(), self.ys.tolist())
@@ -142,9 +135,11 @@ class Lattice:
     def nbr_idx(self):
         """``(N, K)`` flat-index ball table (offset order), built lazily.
 
-        Only the scalar bv-two-hop kernel still wants the full table
-        (it walks per-node Python lists); the vectorized kernels use
-        :meth:`balls_of` and never materialize O(N*K) memory.
+        The scalar bv-two-hop kernel walks it as per-node Python lists,
+        and :meth:`balls_of` gathers from it whenever ``N * K`` is at
+        most :data:`_TABLE_MAX_ENTRIES` (every torus up to side 577 at
+        ``r=2`` under linf).  Only above that cap do the vectorized
+        kernels leave it unbuilt and use the stencil.
         """
         if self._nbr_idx is None:
             # (width, 1, K) + (1, height, K): entry [x, y] is the ball of

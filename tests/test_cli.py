@@ -1,5 +1,9 @@
 """Tests for the command-line interface."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -32,6 +36,33 @@ class TestParser:
     def test_serving_tier_is_gone(self, command):
         with pytest.raises(SystemExit):
             build_parser().parse_args([command])
+
+
+class TestStartup:
+    def test_import_leaves_multiprocessing_unloaded(self):
+        """Only a sweep on more than one worker needs a pool, so a fresh
+        interpreter that imports the CLI has not loaded
+        ``multiprocessing``."""
+        env = dict(os.environ)
+        src_dir = os.path.join(
+            os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+            "src",
+        )
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src_dir, env.get("PYTHONPATH", "")) if p
+        )
+        program = (
+            "import sys, repro.cli\n"
+            "print('multiprocessing' in sys.modules)\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", program],
+            capture_output=True,
+            text=True,
+            env=env,
+            check=True,
+        )
+        assert result.stdout == "False\n"
 
 
 class TestCommands:

@@ -1,7 +1,7 @@
 """Tests for repro.exec.cache: hit/miss, invalidation, corruption
-recovery, the sharded layout and flat-layout migration, write
-durability (fsync + torn-file recovery), concurrent writers, and the
---no-cache bypass."""
+recovery, the sharded layout (pre-shard flat entries are never read),
+write durability (fsync + torn-file recovery), concurrent writers, and
+the --no-cache bypass."""
 
 from __future__ import annotations
 
@@ -149,65 +149,31 @@ class TestCorruptionRecovery:
         assert executor.run([spec]).stats.cache_hits == 1
 
 
-def _demote_to_flat(cache: ResultCache) -> int:
-    """Rewrite a cache into the legacy flat layout (pre-shard repos)."""
-    moved = 0
-    for path in list(cache.entry_paths()):
-        if path.parent != cache.root:
-            os.replace(path, cache.root / path.name)
-            moved += 1
-    shards = cache.root / "shards"
-    if shards.exists():
-        for sub in sorted(shards.iterdir()):
-            sub.rmdir()
-        shards.rmdir()
-    return moved
-
-
-class TestShardedMigration:
-    def test_flat_entry_is_a_hit_and_promoted(self, cache):
-        """A valid legacy flat entry is read (100% hit) and atomically
-        moved into its shard with its bytes preserved exactly."""
-        key = content_key({"x": 1})
-        cache.put(key, ROWS)
-        original = cache.path_for(key).read_bytes()
-        assert _demote_to_flat(cache) == 1
-        assert cache.flat_path_for(key).exists()
-        assert cache.get(key) == ROWS
-        assert not cache.flat_path_for(key).exists()
-        assert cache.path_for(key).read_bytes() == original
-
-    def test_sweep_over_flat_cache_is_all_hits(self, cache):
-        """End to end: a warm pre-shard cache serves a rerun at 100%
-        hits with identical rows, converging to the sharded layout."""
+class TestFlatLayoutIgnored:
+    def test_flat_entry_misses_and_is_recomputed_into_its_shard(
+        self, cache
+    ):
+        """A valid entry at the pre-shard flat path predates row changes
+        its key cannot tell apart, so it is never served: ``get``
+        misses, the sweep recomputes the unit into its shard, and
+        ``len()`` counts shard entries only."""
         spec = ScenarioSpec(
-            kind="crash", r=1, t=1, trials=4, protocol="crash-flood"
+            kind="crash", r=1, t=1, trials=2, protocol="crash-flood"
         )
-        executor = SweepExecutor(cache=cache)
-        cold = executor.run([spec])
-        _demote_to_flat(cache)
-        warm = executor.run([spec])
-        assert warm.stats.cache_hits == warm.stats.units_total > 0
-        assert warm.stats.cache_misses == 0
-        assert warm.rows == cold.rows
-        assert all(p.parent != cache.root for p in cache.entry_paths())
-
-    def test_corrupt_flat_entry_is_a_miss_and_removed(self, cache):
-        key = content_key({"x": 1})
-        flat = cache.flat_path_for(key)
-        cache.root.mkdir(parents=True, exist_ok=True)
-        flat.write_text("garbage{{{")
+        key = unit_cache_key(spec, 0, (0, 1))
+        stale = ROWS * 2  # one row per trial index, as a hit needs
+        cache.put(key, stale)
+        flat = cache.root / f"{key}.json"
+        os.replace(cache.path_for(key), flat)
         assert cache.get(key) is None
-        assert not flat.exists()
+        assert len(cache) == 0
 
-    def test_len_counts_both_layouts(self, cache):
-        cache.put(content_key({"x": 1}), ROWS)
-        cache.put(content_key({"x": 2}), ROWS)
-        assert len(cache) == 2
-        # demote one entry to the flat layout: still two entries
-        path = next(iter(cache.entry_paths()))
-        os.replace(path, cache.root / path.name)
-        assert len(cache) == 2
+        run = SweepExecutor(cache=cache).run([spec])
+        assert run.stats.cache_misses == run.stats.units_total == 1
+        assert run.rows[0] != stale
+        assert cache.get(key) == run.rows[0]
+        assert cache.path_for(key).exists() and flat.exists()
+        assert len(cache) == 1
 
 
 class TestDurability:

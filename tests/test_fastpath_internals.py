@@ -11,8 +11,9 @@ named assertion instead of a whole-run byte diff:
 - the :class:`~repro.radio.fastpath.lattice.Lattice` vectorized TDMA
   construction vs :func:`repro.grid.tdma.make_schedule` -- same slots,
   same order, same members;
-- the on-the-fly ball stencil (:meth:`Lattice.balls_of`) vs the lazy
-  ``nbr_idx`` table it replaced in the vectorized kernels.
+- both branches of :meth:`Lattice.balls_of` -- the lazy ``nbr_idx``
+  table small tori gather from, and the on-the-fly ball stencil above
+  the table cap.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ def test_lattice_schedule_matches_make_schedule(w, h, r):
 
     assert len(lattice.slot_groups) == len(schedule.slots)
     for group, slot_nodes in zip(lattice.slot_groups, schedule.slots):
-        assert lattice.coords(group) == list(slot_nodes)
+        assert [lattice.coords_all[i] for i in group] == list(slot_nodes)
     for node in topology.nodes():
         assert int(lattice.slot_of[lattice.flat(node)]) == (
             schedule.slot_of(node)
@@ -71,8 +72,8 @@ def test_lattice_schedule_matches_make_schedule(w, h, r):
 @pytest.mark.parametrize("w,h,r", [(5, 5, 1), (7, 9, 2), (5, 6, 2)])
 def test_stencil_matches_neighbor_table(w, h, r, metric):
     """``balls_of`` computes exactly ``nbr_idx[idxs]`` -- same receiver
-    sets in the same (metric offset) order -- without the O(N*K) table
-    the kernels no longer materialize."""
+    sets in the same (metric offset) order -- on the table branch and on
+    the stencil branch that skips the O(N*K) table."""
     import numpy as np
 
     from repro.radio.fastpath.lattice import Lattice
@@ -92,11 +93,12 @@ def test_stencil_matches_neighbor_table(w, h, r, metric):
     # the on-the-fly branch large tori take (no table) agrees too
     lattice._use_table = False
     assert (lattice.balls_of(idxs) == want).all()
+    coords = lattice.coords_all
     for i in (0, lattice.num_nodes // 2, lattice.num_nodes - 1):
         # the stencil order is the topology's neighbor order
-        assert lattice.coords(lattice.balls_of([i])[0]) == [
+        assert [coords[j] for j in lattice.balls_of([i])[0]] == [
             lattice.topology.canonical(nb)
-            for nb in lattice.topology.neighbors(lattice.coord(i))
+            for nb in lattice.topology.neighbors(coords[i])
         ]
 
 

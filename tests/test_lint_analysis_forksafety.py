@@ -2,11 +2,10 @@
 
 The pass finds the functions shipped across a process boundary -- the
 first argument of ``pool.map``/``submit`` inside a ``with ...Pool(...)``
-block, and the first argument of any ``.run_units(fn, payloads)``
-ExecutionBackend submission -- walks their call closures, and flags the
-shared-state hazards a fork can turn into silent divergence: mutable
-default arguments, global rebinding, module-state mutation, and reads
-of unfrozen module-level mutable registries.
+block -- walks their call closures, and flags the shared-state hazards
+a fork can turn into silent divergence: mutable default arguments,
+global rebinding, module-state mutation, and reads of unfrozen
+module-level mutable registries.
 """
 
 import os
@@ -26,15 +25,6 @@ EXECUTOR = (
     "    ctx = mp.get_context('fork')\n"
     "    with ctx.Pool(2) as pool:\n"
     "        return pool.map(run_unit, payloads)\n"
-)
-
-#: A sweep submitting through the backend protocol: no Pool literal
-#: anywhere, the receiver is an opaque parameter -- only the
-#: ``.run_units`` method name marks the boundary.
-BACKEND_SWEEP = (
-    "from repro.exec.worker import run_unit\n"
-    "def sweep(backend, payloads):\n"
-    "    return list(backend.run_units(run_unit, payloads))\n"
 )
 
 
@@ -137,78 +127,6 @@ class TestHazards:
             RULE,
         )
         assert findings(report) == []
-
-
-class TestBackendSubmission:
-    """``.run_units(fn, ...)`` is a submission boundary on any receiver
-    -- a unit function handed to a backend gets the same closure walk as
-    a literal ``pool.map`` argument."""
-
-    def lint_backend_worker(self, tmp_path, worker_source):
-        return run_lint(
-            tmp_path,
-            {
-                "repro/exec/executor.py": BACKEND_SWEEP,
-                "repro/exec/worker.py": worker_source,
-            },
-            RULE,
-        )
-
-    def test_mutable_default_into_backend_submission(self, tmp_path):
-        """A mutable default carried into a backend submission is
-        flagged without any Pool literal in sight."""
-        report = self.lint_backend_worker(
-            tmp_path,
-            "def run_unit(payload, seen=[]):\n"
-            "    seen.append(payload)\n"
-            "    return seen\n",
-        )
-        assert any("mutable default" in f.message for f in findings(report))
-
-    def test_closure_hazard_through_backend_submission(self, tmp_path):
-        """Callee hazards count through a run_units boundary too."""
-        report = self.lint_backend_worker(
-            tmp_path,
-            "_MEMO = {}\n"
-            "def remember(key):\n"
-            "    _MEMO[key] = True\n"
-            "def run_unit(payload):\n"
-            "    remember(payload)\n"
-            "    return payload\n",
-        )
-        assert any(
-            "mutates module-level" in f.message for f in findings(report)
-        )
-
-    def test_clean_unit_function_through_backend(self, tmp_path):
-        report = self.lint_backend_worker(
-            tmp_path,
-            "def run_unit(payload):\n"
-            "    return [payload]\n",
-        )
-        assert findings(report) == []
-
-    def test_run_units_on_attribute_receiver(self, tmp_path):
-        """self.backend.run_units(...) counts as a boundary too."""
-        report = run_lint(
-            tmp_path,
-            {
-                "repro/exec/executor.py": (
-                    "from repro.exec.worker import run_unit\n"
-                    "class Runner:\n"
-                    "    def go(self, payloads):\n"
-                    "        return list(\n"
-                    "            self.backend.run_units(run_unit, payloads)\n"
-                    "        )\n"
-                ),
-                "repro/exec/worker.py": (
-                    "def run_unit(payload, extras=[]):\n"
-                    "    return extras\n"
-                ),
-            },
-            RULE,
-        )
-        assert any("mutable default" in f.message for f in findings(report))
 
 
 class TestShippedTree:
