@@ -10,8 +10,6 @@ Hosts the combinatorial engines the protocols and experiments rely on:
 - :mod:`repro.analysis.flows` -- vertex-capacitated max flow /
   vertex-disjoint path counting (Menger-style connectivity checks used to
   analyze constructions and crash-stop reachability);
-- :mod:`repro.analysis.matching` -- Hopcroft-Karp bipartite matching
-  (verifies the one-to-one region pairings of the paper's constructions);
 - :mod:`repro.analysis.reachability` -- BFS reachability on fault-pruned
   radio graphs (the crash-stop criterion is pure reachability);
 - :mod:`repro.analysis.percolation` -- the random-failure model the paper
@@ -31,7 +29,6 @@ from repro.analysis.blossom import (
     matching_size,
     max_small_set_packing,
 )
-from repro.analysis.matching import max_bipartite_matching
 from repro.analysis.reachability import reachable_from, crash_broadcast_coverage
 from repro.analysis.percolation import (
     percolation_trial,
@@ -56,7 +53,6 @@ __all__ = [
     "max_cardinality_matching",
     "matching_size",
     "max_small_set_packing",
-    "max_bipartite_matching",
     "reachable_from",
     "crash_broadcast_coverage",
     "percolation_trial",

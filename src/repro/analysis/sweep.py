@@ -71,7 +71,6 @@ def sharpness_table(
     engine: str = "reference",
     metric: str = "linf",
     topology: str = "torus",
-    channel: str = "ideal",
 ) -> RunTable:
     """The run table of one sharpness sweep: one cell per budget ``t``.
 
@@ -80,10 +79,10 @@ def sharpness_table(
     ``crash-flood`` for crash sweeps; ``strategy`` only matters for
     Byzantine ones.  ``engine`` picks the simulation backend; it does
     not change seeds, rows, or cache keys (the backends are
-    observationally identical).  ``metric``, ``topology``, and
-    ``channel`` select the orthogonal scenario-axis levels (all paper
-    defaults) and *are* scenario identity -- different levels sweep
-    different scenario keys.  Budgets must be distinct.
+    observationally identical).  ``metric`` and ``topology`` select the
+    orthogonal scenario-axis levels (both paper defaults) and *are*
+    scenario identity -- different levels sweep different scenario
+    keys.  Budgets must be distinct.
     """
     base = {
         "kind": kind,
@@ -95,7 +94,6 @@ def sharpness_table(
         "metric": metric,
         "engine": engine,
         "topology": topology,
-        "channel": channel,
     }
     return RunTable(
         factors=(("t", tuple(budgets)),),
@@ -142,7 +140,6 @@ def byzantine_sharpness_run(
     engine: str = "reference",
     metric: str = "linf",
     topology: str = "torus",
-    channel: str = "ideal",
 ) -> SweepRun:
     """Success fraction vs fault budget under random valid placements.
 
@@ -155,7 +152,7 @@ def byzantine_sharpness_run(
     table = sharpness_table(
         "byzantine", r, budgets, trials=trials, protocol=protocol,
         strategy=strategy, engine=engine, metric=metric,
-        topology=topology, channel=channel,
+        topology=topology,
     )
     return sharpness_run(table, seed=seed, executor=executor)
 
@@ -176,12 +173,11 @@ def crash_sharpness_run(
     engine: str = "reference",
     metric: str = "linf",
     topology: str = "torus",
-    channel: str = "ideal",
 ) -> SweepRun:
     """Crash-stop analogue of :func:`byzantine_sharpness_run`."""
     table = sharpness_table(
         "crash", r, budgets, trials=trials, engine=engine, metric=metric,
-        topology=topology, channel=channel,
+        topology=topology,
     )
     return sharpness_run(table, seed=seed, executor=executor)
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from repro.core.thresholds import threshold_table
 from repro.experiments.registry import REGISTRY, all_experiments, get_experiment
@@ -31,8 +31,10 @@ from repro.experiments.scenarios import byzantine_broadcast_scenario
 from repro.faults.byzantine import BYZANTINE_STRATEGIES
 from repro.grid.factory import TOPOLOGY_KINDS
 from repro.protocols.registry import protocol_names
-from repro.radio.channel import CHANNEL_MODELS
 from repro.viz.ascii_art import render_commit_wave
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.exec import ResultCache
 
 
 def _cmd_list(args: argparse.Namespace) -> int:
@@ -93,6 +95,17 @@ def _cmd_demo(args: argparse.Namespace) -> int:
     return 0 if outcome.safe else 1
 
 
+def _result_cache(args: argparse.Namespace) -> Optional["ResultCache"]:
+    """The work-unit cache that ``--no-cache`` / ``--cache-dir`` select:
+    ``None`` when bypassed, else a :class:`~repro.exec.ResultCache` at
+    ``--cache-dir`` or the default root."""
+    if args.no_cache:
+        return None
+    from repro.exec import ResultCache, default_cache_dir
+
+    return ResultCache(args.cache_dir or default_cache_dir())
+
+
 def _cmd_sweep(args: argparse.Namespace) -> int:
     import json
     import pathlib
@@ -105,7 +118,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         crash_linf_threshold,
     )
     from repro.errors import ConfigurationError
-    from repro.exec import ResultCache, SweepExecutor, default_cache_dir
+    from repro.exec import SweepExecutor
 
     if args.resume and args.no_cache:
         print(
@@ -113,13 +126,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    cache = None
-    if not args.no_cache:
-        cache_dir = (
-            pathlib.Path(args.cache_dir) if args.cache_dir else default_cache_dir()
-        )
-        cache = ResultCache(cache_dir)
-    executor = SweepExecutor(workers=args.workers, cache=cache)
+    executor = SweepExecutor(workers=args.workers, cache=_result_cache(args))
 
     if args.budgets:
         budgets = list(args.budgets)
@@ -147,7 +154,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             engine=args.engine,
             metric=args.metric,
             topology=args.topology,
-            channel=args.channel,
         )
         if args.resume:
             specs = [unit.spec for unit in table.expand()]
@@ -175,8 +181,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         format_table(
             rows,
             title=f"sweep: {args.kind} r={args.r} trials={args.trials} "
-            f"seed={args.seed} ({protocol}, {args.metric}/{args.topology}"
-            f"/{args.channel})",
+            f"seed={args.seed} ({protocol}, {args.metric}/{args.topology})",
         )
     )
     print()
@@ -189,7 +194,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             "strategy": args.strategy if args.kind == "byzantine" else None,
             "metric": args.metric,
             "topology": args.topology,
-            "channel": args.channel,
             "trials": args.trials,
             "seed": args.seed,
             "budgets": budgets,
@@ -208,13 +212,7 @@ def _cmd_runtable(args: argparse.Namespace) -> int:
     import pathlib
 
     from repro.errors import ConfigurationError
-    from repro.exec import (
-        ResultCache,
-        SweepExecutor,
-        default_cache_dir,
-        execute_runtable,
-        load_runtable,
-    )
+    from repro.exec import SweepExecutor, execute_runtable, load_runtable
 
     try:
         table = load_runtable(args.table)
@@ -237,14 +235,8 @@ def _cmd_runtable(args: argparse.Namespace) -> int:
             print(rendered, end="")
         return 0
 
-    cache = None
-    if not args.no_cache:
-        cache_dir = (
-            pathlib.Path(args.cache_dir) if args.cache_dir else default_cache_dir()
-        )
-        cache = ResultCache(cache_dir)
     try:
-        executor = SweepExecutor(workers=args.workers, cache=cache)
+        executor = SweepExecutor(workers=args.workers, cache=_result_cache(args))
         result = execute_runtable(table, executor=executor, root_seed=args.seed)
     except ConfigurationError as exc:
         print(f"repro runtable: {exc}", file=sys.stderr)
@@ -354,14 +346,7 @@ def _cmd_adversary(args: argparse.Namespace) -> int:
 
     from repro.adversary import SearchConfig, certify_result, run_search
     from repro.errors import ConfigurationError
-    from repro.exec import ResultCache, default_cache_dir
 
-    cache = None
-    if not args.no_cache:
-        cache_dir = (
-            pathlib.Path(args.cache_dir) if args.cache_dir else default_cache_dir()
-        )
-        cache = ResultCache(cache_dir)
     try:
         config = SearchConfig(
             kind=args.kind,
@@ -378,7 +363,7 @@ def _cmd_adversary(args: argparse.Namespace) -> int:
             config,
             strategy=args.strategy,
             workers=args.workers,
-            cache=cache,
+            cache=_result_cache(args),
             engine=args.engine,
         )
     except ConfigurationError as exc:
@@ -615,12 +600,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=list(TOPOLOGY_KINDS),
         default="torus",
         help="topology axis (see docs/TOPOLOGIES.md)",
-    )
-    p_sweep.add_argument(
-        "--channel",
-        choices=list(CHANNEL_MODELS),
-        default="ideal",
-        help="channel-model axis (lossy/jammed need --engine reference)",
     )
     p_sweep.set_defaults(func=_cmd_sweep)
 

@@ -69,34 +69,6 @@ class ExecStats:
         """Cache hits as a fraction of all work units (0.0 when none)."""
         return self.cache_hits / self.units_total if self.units_total else 0.0
 
-    def merge(self, other: "ExecStats") -> "ExecStats":
-        """Combine accounting from two runs into one (a new object).
-
-        Counts add; ``wall_clock_s`` adds (total compute time, not
-        elapsed time -- overlapping campaigns double-count on purpose);
-        ``workers`` takes the max and ``cache_enabled`` the OR, since a
-        merged report answers "what resources/caching did this study
-        use anywhere".  Associative and commutative, so stats fold over
-        any number of sweeps in any order.
-        """
-        return ExecStats(
-            workers=max(self.workers, other.workers),
-            units_total=self.units_total + other.units_total,
-            cache_hits=self.cache_hits + other.cache_hits,
-            cache_misses=self.cache_misses + other.cache_misses,
-            trials_total=self.trials_total + other.trials_total,
-            trials_computed=self.trials_computed + other.trials_computed,
-            wall_clock_s=self.wall_clock_s + other.wall_clock_s,
-            cache_enabled=self.cache_enabled or other.cache_enabled,
-        )
-
-    def __add__(self, other: "ExecStats") -> "ExecStats":
-        """``stats_a + stats_b`` is :meth:`merge` (sum()-friendly with
-        ``start=ExecStats()``)."""
-        if not isinstance(other, ExecStats):
-            return NotImplemented
-        return self.merge(other)
-
     def as_dict(self) -> Dict[str, Any]:
         """Flat dict form for JSON reports and stats tables."""
         return {

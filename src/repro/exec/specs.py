@@ -21,7 +21,6 @@ from typing import TYPE_CHECKING, Any, Dict, Mapping, Optional, Tuple
 
 from repro.errors import ConfigurationError
 from repro.grid.factory import TOPOLOGY_KINDS
-from repro.radio.channel import CHANNEL_MODELS
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.experiments.scenarios import BroadcastScenario
@@ -98,10 +97,6 @@ class ScenarioSpec:
     #: it every derived trial seed and cached work unit -- is unchanged
     #: by the field's introduction (schema evolution by omission).
     topology: str = "torus"
-    #: channel-model factor level
-    #: (:data:`repro.radio.channel.CHANNEL_MODELS`).  Conditionally keyed
-    #: exactly like ``topology``: the default ``"ideal"`` is omitted.
-    channel: str = "ideal"
 
     def __post_init__(self) -> None:
         from repro.radio.engines import (
@@ -125,31 +120,19 @@ class ScenarioSpec:
                 f"unknown topology kind {self.topology!r}; expected one "
                 f"of {TOPOLOGY_KINDS}"
             )
-        if self.channel not in CHANNEL_MODELS:
-            raise ConfigurationError(
-                f"unknown channel model {self.channel!r}; expected one "
-                f"of {CHANNEL_MODELS}"
-            )
         if self.max_rounds < 1:
             raise ConfigurationError(
                 f"max_rounds must be >= 1, got {self.max_rounds}"
             )
         if self.engine == "fastpath":
             # hard gate, not silent fallback: the kernels assume toroidal
-            # wrap and a perfect channel, so anything else must raise --
-            # never quietly compute torus/ideal results for a spec that
-            # asked for a different factor level
+            # wrap, so anything else must raise -- never quietly compute
+            # torus results for a spec that asked for another topology
             if self.topology != "torus":
                 raise ConfigurationError(
                     'engine="fastpath" cannot run this scenario: the '
                     "fastpath engine supports only the torus topology "
                     f"factor, got topology={self.topology!r}"
-                )
-            if self.channel != "ideal":
-                raise ConfigurationError(
-                    'engine="fastpath" cannot run this scenario: '
-                    "channel imperfections require the reference engine, "
-                    f"got channel={self.channel!r}"
                 )
             if self.protocol not in FASTPATH_PROTOCOLS:
                 raise ConfigurationError(
@@ -189,13 +172,13 @@ class ScenarioSpec:
         Excludes ``trials`` (see the class docstring): identity is the
         scenario family, not how many samples were taken from it.
 
-        ``topology`` and ``channel`` join the payload only at non-default
-        levels: they *are* scenario identity (a bounded grid or a lossy
-        channel is a different simulation), but omitting the defaults
-        keeps every scenario key minted before the fields existed --
-        and every seed stream and cached row derived from one -- valid
-        verbatim.  The ``cache-key-soundness`` deep lint counts these
-        conditional re-adds as keyed.
+        ``topology`` joins the payload only at a non-default level: it
+        *is* scenario identity (a bounded grid is a different
+        simulation), but omitting the default ``"torus"`` keeps every
+        scenario key minted before the field existed -- and every seed
+        stream and cached row derived from one -- valid verbatim.  The
+        ``cache-key-soundness`` deep lint counts this conditional re-add
+        as keyed.
         """
         payload = {
             f.name: getattr(self, f.name)
@@ -207,13 +190,10 @@ class ScenarioSpec:
                 "collect_metrics",
                 "engine",
                 "topology",
-                "channel",
             )
         }
         if self.topology != "torus":
             payload["topology"] = self.topology
-        if self.channel != "ideal":
-            payload["channel"] = self.channel
         payload["scenario_kwargs"] = {k: v for k, v in self.scenario_kwargs}
         return payload
 
@@ -269,7 +249,6 @@ def build_scenario(spec: ScenarioSpec, seed: int) -> "BroadcastScenario":
             max_rounds=spec.max_rounds,
             engine=spec.engine,
             topology_kind=spec.topology,
-            channel=spec.channel,
             **extra,
         )
     return crash_broadcast_scenario(
@@ -283,7 +262,6 @@ def build_scenario(spec: ScenarioSpec, seed: int) -> "BroadcastScenario":
         protocol=spec.protocol,
         engine=spec.engine,
         topology_kind=spec.topology,
-        channel=spec.channel,
         **extra,
     )
 

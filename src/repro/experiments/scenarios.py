@@ -39,7 +39,6 @@ from repro.grid.factory import TOPOLOGY_KINDS, make_topology
 from repro.grid.topology import Topology
 from repro.grid.torus import Torus
 from repro.protocols.registry import correct_process_map
-from repro.radio.channel import make_channel_model
 from repro.radio.engines import validate_engine
 from repro.radio.node import NodeProcess
 from repro.radio.run import BroadcastOutcome, run_broadcast
@@ -181,7 +180,6 @@ def _resolve_topology(
     torus: Optional[Torus],
     torus_side: Optional[int],
     topology_kind: str = "torus",
-    seed: int = 0,
 ) -> Topology:
     """The topology a scenario runs on.
 
@@ -190,8 +188,7 @@ def _resolve_topology(
     scenario's), or a square topology of the named
     ``topology_kind`` (see :data:`repro.grid.factory.TOPOLOGY_KINDS`)
     with side ``torus_side`` or the placement-appropriate default (strip
-    constructions need the wider two-strip torus).  ``seed`` pins the
-    node sample of the ``"rgg"`` kind and is ignored by the others.
+    constructions need the wider two-strip torus).
     """
     if torus is not None:
         if topology_kind != "torus":
@@ -232,7 +229,7 @@ def _resolve_topology(
         side = strip_torus(r, metric).width
     else:
         side = recommended_torus(r, metric).width
-    return make_topology(topology_kind, side, r, metric, seed=seed)
+    return make_topology(topology_kind, side, r, metric)
 
 
 def _explicit_faults(
@@ -279,7 +276,6 @@ def byzantine_broadcast_scenario(
     max_rounds: int = 200,
     engine: str = "reference",
     topology_kind: str = "torus",
-    channel: str = "ideal",
     **protocol_kwargs: Any,
 ) -> BroadcastScenario:
     """Build a Byzantine broadcast experiment.
@@ -307,13 +303,10 @@ def byzantine_broadcast_scenario(
     topology_kind:
         A :data:`~repro.grid.factory.TOPOLOGY_KINDS` level; the strip
         placement is torus-only (the construction wraps).
-    channel:
-        A :data:`~repro.radio.channel.CHANNEL_MODELS` level; non-ideal
-        channels need the reference engine.
     """
     _reject_stray_faults(faults, placement)
     topology = _resolve_topology(
-        r, metric, placement, torus, torus_side, topology_kind, seed
+        r, metric, placement, torus, torus_side, topology_kind
     )
     source = (0, 0)
     rng = random.Random(seed)
@@ -348,7 +341,6 @@ def byzantine_broadcast_scenario(
         byzantine_processes=byz,
         max_rounds=max_rounds,
         protocol_kwargs=protocol_kwargs,
-        channel=make_channel_model(channel, seed),
         engine=engine,
     )
 
@@ -435,7 +427,6 @@ def crash_broadcast_scenario(
     protocol: str = "crash-flood",
     engine: str = "reference",
     topology_kind: str = "torus",
-    channel: str = "ideal",
 ) -> BroadcastScenario:
     """Build a crash-stop broadcast experiment.
 
@@ -446,13 +437,12 @@ def crash_broadcast_scenario(
     ``placement="explicit"`` runs the exact ``faults`` set (the
     adversary-search evaluation path); ``torus_side`` picks the square
     topology side.  ``staggered_max_round`` switches from dead-from-start
-    to random crash rounds.  ``topology_kind`` and ``channel`` pick the
-    topology / channel-model factor levels (the strip placement is
-    torus-only; non-ideal channels need the reference engine).
+    to random crash rounds.  ``topology_kind`` picks the topology factor
+    level (the strip placement is torus-only).
     """
     _reject_stray_faults(faults, placement)
     topology = _resolve_topology(
-        r, metric, placement, torus, torus_side, topology_kind, seed
+        r, metric, placement, torus, torus_side, topology_kind
     )
     source = (0, 0)
     rng = random.Random(seed)
@@ -483,6 +473,5 @@ def crash_broadcast_scenario(
         source=source,
         crash_round=crash_round,
         max_rounds=max_rounds,
-        channel=make_channel_model(channel, seed),
         engine=engine,
     )

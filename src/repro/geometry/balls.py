@@ -110,13 +110,13 @@ def closed_ball_points(
 
     On a torus the ball comes from its shared
     :class:`~repro.grid.stencil.TorusStencil` (two table rows zipped).
-    On topologies without wrap-around (:class:`~repro.grid.bounded.
-    BoundedGrid`, :class:`~repro.grid.rgg.RandomGeometricGraph`) the ball
-    is *truncated* to the points that actually host nodes: canonicalizing
-    is the identity there, so without the ``contains`` filter a corner
-    ball would count phantom off-grid centers and the budget accounting
-    would be asymmetric between interior and boundary (the latent bug
-    pinned by ``tests/test_grid_bounded.py``).
+    On a topology without wrap-around (:class:`~repro.grid.bounded.
+    BoundedGrid`) the ball is *truncated* to the points that actually
+    host nodes: canonicalizing is the identity there, so without the
+    ``contains`` filter a corner ball would count phantom off-grid
+    centers and the budget accounting would be asymmetric between
+    interior and boundary (the latent bug pinned by
+    ``tests/test_grid_bounded.py``).
     """
     if topology is not None:
         stencil = topology.ball_stencil(r, metric)

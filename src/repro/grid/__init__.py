@@ -17,7 +17,6 @@ eliminates boundary anomalies).  This package provides:
 from repro.grid.topology import Topology, InfiniteGrid
 from repro.grid.torus import Torus
 from repro.grid.bounded import BoundedGrid
-from repro.grid.rgg import RandomGeometricGraph
 from repro.grid.factory import TOPOLOGY_KINDS, make_topology
 from repro.grid.neighborhoods import nbd, pnbd, pnbd_frontier, nbd_centers_covering
 from repro.grid.tdma import (
@@ -34,7 +33,6 @@ __all__ = [
     "InfiniteGrid",
     "Torus",
     "BoundedGrid",
-    "RandomGeometricGraph",
     "TOPOLOGY_KINDS",
     "make_topology",
     "nbd",

@@ -2,55 +2,34 @@
 
 Scenario specifications name their topology by *kind* (a plain string
 that can sit in a frozen dataclass and a JSON cache key) and materialize
-it here.  The three kinds are the scenario axes of ROADMAP item 2:
+it here:
 
 - ``"torus"`` -- :class:`~repro.grid.torus.Torus`: the paper's
   boundary-free simulation substrate (the default everywhere);
 - ``"bounded"`` -- :class:`~repro.grid.bounded.BoundedGrid`: real
-  boundaries, truncated corner neighborhoods;
-- ``"rgg"`` -- :class:`~repro.grid.rgg.RandomGeometricGraph`: a seeded
-  random node sample of the box, the related-work geometry.
+  boundaries, truncated corner neighborhoods.
 
-Every kind accepts the same ``(side, r, metric, seed)`` signature so the
-run-table harness can treat the topology as one orthogonal factor;
-``seed`` only matters for ``"rgg"`` (the other kinds are fully
-determined by their dimensions).
+Both kinds are fully determined by ``(side, r, metric)``, so the
+run-table harness can treat the topology as one orthogonal factor.
 """
 
 from __future__ import annotations
 
 from repro.errors import ConfigurationError
 from repro.grid.bounded import BoundedGrid
-from repro.grid.rgg import DEFAULT_DENSITY, RandomGeometricGraph
 from repro.grid.topology import Topology
 from repro.grid.torus import Torus
 
 #: the topology-factor levels, in documentation order
-TOPOLOGY_KINDS = ("torus", "bounded", "rgg")
+TOPOLOGY_KINDS = ("torus", "bounded")
 
 
-def make_topology(
-    kind: str,
-    side: int,
-    r: int,
-    metric="linf",
-    *,
-    seed: int = 0,
-    density: float = DEFAULT_DENSITY,
-) -> Topology:
-    """Materialize a square topology of the named ``kind``.
-
-    ``seed`` and ``density`` are only consulted for ``"rgg"``; the lattice
-    kinds ignore them (their node sets are determined by ``side`` alone).
-    """
+def make_topology(kind: str, side: int, r: int, metric="linf") -> Topology:
+    """Materialize a square topology of the named ``kind``."""
     if kind == "torus":
         return Torus.square(side, r, metric)
     if kind == "bounded":
         return BoundedGrid.square(side, r, metric)
-    if kind == "rgg":
-        return RandomGeometricGraph.square(
-            side, r, metric, density=density, seed=seed
-        )
     raise ConfigurationError(
         f"unknown topology kind {kind!r}; expected one of {TOPOLOGY_KINDS}"
     )

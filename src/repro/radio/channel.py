@@ -85,48 +85,3 @@ class ChannelImperfections:
 
 PERFECT_CHANNEL = ChannelImperfections()
 """The paper's channel: the engine default."""
-
-
-#: The named channel-model factor levels scenario specs range over (the
-#: orthogonal "channel" axis of the run-table harness).  Strings, not
-#: :class:`ChannelImperfections` objects, so they can sit in frozen spec
-#: dataclasses and JSON cache keys.
-CHANNEL_MODELS = ("ideal", "lossy", "jammed")
-
-#: the "lossy" level: Section X's probabilistic local broadcast with the
-#: standard retransmission counter-measure -- per-receiver delivery
-#: probability ``1 - 0.2**6 ~= 0.99994``
-LOSSY_LOSS_RATE = 0.2
-LOSSY_TX_COPIES = 6
-
-#: the "jammed" level: deliberate collisions are *permitted* but bounded
-#: (the paper: bounded collisions are recoverable by retransmission;
-#: unbounded ones make broadcast impossible)
-JAMMED_MAX_JAM_ROUNDS = 2
-
-
-def make_channel_model(
-    name: str, seed: int = 0
-) -> Optional[ChannelImperfections]:
-    """Materialize a named channel-model level.
-
-    ``"ideal"`` returns ``None`` (the engine's perfect-channel default,
-    and the only level the fastpath backend accepts); ``"lossy"`` and
-    ``"jammed"`` return the configurations described above, with the
-    private randomness stream derived from ``seed``.
-    """
-    if name == "ideal":
-        return None
-    if name == "lossy":
-        return ChannelImperfections(
-            loss_rate=LOSSY_LOSS_RATE, tx_copies=LOSSY_TX_COPIES, seed=seed
-        )
-    if name == "jammed":
-        return ChannelImperfections(
-            allow_jamming=True,
-            max_jam_rounds_per_node=JAMMED_MAX_JAM_ROUNDS,
-            seed=seed,
-        )
-    raise ConfigurationError(
-        f"unknown channel model {name!r}; expected one of {CHANNEL_MODELS}"
-    )

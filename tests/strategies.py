@@ -263,8 +263,7 @@ def sample_overbudget_points(n: int, *, seed: int = 0) -> List[Dict[str, Any]]:
 #: ``kind="crash"`` are a *rejected* table, tested separately)
 RUNTABLE_FACTOR_POOL = (
     ("metric", ("linf", "l1", "l2")),
-    ("topology", ("torus", "bounded", "rgg")),
-    ("channel", ("ideal", "lossy", "jammed")),
+    ("topology", ("torus", "bounded")),
     ("t", (0, 1, 2)),
     ("r", (1, 2)),
 )
@@ -274,8 +273,8 @@ RUNTABLE_FACTOR_POOL = (
 def run_tables(draw):
     """Hypothesis strategy over valid declarative run tables.
 
-    Factors range over the orthogonal scenario axes (metric, topology,
-    channel) plus the numeric knobs; the base block fixes a crash-flood
+    Factors range over the orthogonal scenario axes (metric, topology)
+    plus the numeric knobs; the base block fixes a crash-flood
     scenario and fills in whichever of ``r``/``t`` is not swept (they
     have no spec default).  Every generated table is expandable: levels
     are unique per factor and the pool only contains always-keyed

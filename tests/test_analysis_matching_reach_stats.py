@@ -1,13 +1,9 @@
-"""Tests for repro.analysis.matching, .reachability, .percolation, .stats."""
+"""Tests for repro.analysis.reachability, .percolation, .stats."""
 
 import random
 
-import networkx as nx
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
-from repro.analysis.matching import is_perfect_matching, max_bipartite_matching
 from repro.analysis.percolation import (
     critical_probability_estimate,
     percolation_curve,
@@ -16,58 +12,6 @@ from repro.analysis.percolation import (
 from repro.analysis.reachability import crash_broadcast_coverage, reachable_from
 from repro.analysis.stats import confidence_interval95, mean, stdev, summarize
 from repro.grid.torus import Torus
-
-
-class TestMatching:
-    def test_perfect_matching_found(self):
-        edges = {i: [i, (i + 1) % 5] for i in range(5)}
-        m = max_bipartite_matching(edges)
-        assert len(m) == 5
-        assert is_perfect_matching(edges, m)
-
-    def test_bottleneck(self):
-        edges = {0: ["a"], 1: ["a"], 2: ["a"]}
-        m = max_bipartite_matching(edges)
-        assert len(m) == 1
-
-    def test_empty(self):
-        assert max_bipartite_matching({}) == {}
-
-    @given(st.integers(min_value=0, max_value=60))
-    def test_against_networkx(self, seed):
-        rng = random.Random(seed)
-        lefts = range(6)
-        rights = "abcdef"
-        edges = {
-            l: [r for r in rights if rng.random() < 0.4] for l in lefts
-        }
-        ours = max_bipartite_matching(edges)
-        g = nx.Graph()
-        g.add_nodes_from((("L", l) for l in lefts), bipartite=0)
-        for l, rs in edges.items():
-            for r in rs:
-                g.add_edge(("L", l), ("R", r))
-        theirs = nx.bipartite.maximum_matching(
-            g, top_nodes=[("L", l) for l in lefts]
-        )
-        assert len(ours) == len(theirs) // 2
-
-    def test_is_perfect_matching_rejects_reuse(self):
-        edges = {0: ["a"], 1: ["a"]}
-        assert not is_perfect_matching(edges, {0: "a", 1: "a"})
-
-    def test_is_perfect_matching_rejects_nonedge(self):
-        edges = {0: ["a"], 1: ["b"]}
-        assert not is_perfect_matching(edges, {0: "b", 1: "a"})
-
-    def test_region_pairing_use_case(self):
-        """The D1/D2 pairing: full bipartite graph always has a perfect
-        matching."""
-        d1 = [(0, i) for i in range(4)]
-        d2 = [(1, i) for i in range(4)]
-        edges = {u: list(d2) for u in d1}
-        m = max_bipartite_matching(edges)
-        assert is_perfect_matching(edges, m)
 
 
 class TestReachability:

@@ -128,6 +128,15 @@ class TestCommands:
         assert (flood["protocol"], cpa["protocol"]) == ("crash-flood", "cpa")
         assert flood["points"] != cpa["points"]
 
+    def test_sweep_has_no_channel_option(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "sweep", "crash", "--channel", "lossy", "--budgets", "0",
+                "--trials", "1", "--no-cache",
+            ])
+        assert exc.value.code == 2
+        assert "--channel" in capsys.readouterr().err
+
     def test_sweep_refuses_fastpath_byzantine_by_name(self, capsys):
         code = main([
             "sweep", "byzantine", "--r", "1", "--budgets", "0",

@@ -105,9 +105,8 @@ class TestCheckpointing:
         warm = executor.run([CRASH], root_seed=0).stats
         assert (cold.cache_misses, cold.cache_hits) == (3, 0)
         assert (warm.cache_misses, warm.cache_hits) == (0, 3)
-        total = cold + warm
-        assert total.units_total == 6
-        assert total.trials_computed == CRASH.trials
+        assert cold.units_total + warm.units_total == 6
+        assert cold.trials_computed + warm.trials_computed == CRASH.trials
 
 
 class TestCrossBackendChain:

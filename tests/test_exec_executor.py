@@ -1,5 +1,5 @@
-"""Tests for repro.exec.executor: chunking, stats (including merge),
-serial fallback, checkpoint/resume accounting."""
+"""Tests for repro.exec.executor: chunking, stats, serial fallback,
+checkpoint/resume accounting."""
 
 from __future__ import annotations
 
@@ -7,7 +7,6 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.exec import (
-    ExecStats,
     ResultCache,
     ScenarioSpec,
     SweepExecutor,
@@ -85,71 +84,6 @@ class TestStats:
             "wall_clock_s",
             "cache_enabled",
         }
-
-
-class TestStatsMerge:
-    A = ExecStats(
-        workers=2,
-        units_total=3,
-        cache_hits=1,
-        cache_misses=2,
-        trials_total=12,
-        trials_computed=8,
-        wall_clock_s=0.5,
-        cache_enabled=True,
-    )
-    B = ExecStats(
-        workers=4,
-        units_total=5,
-        cache_hits=5,
-        cache_misses=0,
-        trials_total=20,
-        trials_computed=0,
-        wall_clock_s=0.25,
-        cache_enabled=False,
-    )
-
-    def test_counts_add_workers_max_enabled_or(self):
-        merged = self.A.merge(self.B)
-        assert merged.units_total == 8
-        assert merged.cache_hits == 6
-        assert merged.cache_misses == 2
-        assert merged.trials_total == 32
-        assert merged.trials_computed == 8
-        assert merged.wall_clock_s == 0.75
-        assert merged.workers == 4
-        assert merged.cache_enabled is True
-
-    def test_merge_is_commutative(self):
-        assert self.A.merge(self.B) == self.B.merge(self.A)
-
-    def test_merge_is_associative(self):
-        c = ExecStats(units_total=1, cache_hits=1, wall_clock_s=0.1)
-        assert self.A.merge(self.B).merge(c) == self.A.merge(
-            self.B.merge(c)
-        )
-
-    def test_add_operator_and_sum(self):
-        assert self.A + self.B == self.A.merge(self.B)
-        folded = sum([self.A, self.B], ExecStats())
-        assert folded == self.A.merge(self.B)
-
-    def test_identity_element(self):
-        """ExecStats(workers=0) is a true identity for merge."""
-        assert self.A.merge(ExecStats(workers=0)) == self.A
-        assert ExecStats(workers=0).merge(self.A) == self.A
-
-    def test_add_rejects_foreign_types(self):
-        with pytest.raises(TypeError):
-            self.A + 3
-
-    def test_merged_hit_fraction(self):
-        assert self.A.merge(self.B).hit_fraction == 6 / 8
-
-    def test_does_not_mutate_operands(self):
-        before = self.A.as_dict()
-        self.A.merge(self.B)
-        assert self.A.as_dict() == before
 
 
 class TestResume:

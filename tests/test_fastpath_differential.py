@@ -558,12 +558,12 @@ def test_late_crash_counts_receptions_before_the_crash(side):
 
 # -- 5. scenario-axis guardrails ------------------------------------------
 #
-# The topology and channel factors are reference-engine-only; the metric
-# factor is fully vectorized.  Both halves of that contract need tests:
-# unsupported levels must raise a *named* error at every layer (never
-# silently fall back to the torus/ideal kernels), and supported levels
-# must demonstrably flow into the kernels (never silently collapse to
-# L-infinity).
+# The topology factor and channel imperfections are reference-engine-only;
+# the metric factor is fully vectorized.  Both halves of that contract
+# need tests: unsupported levels must raise a *named* error at every layer
+# (never silently fall back to the torus/ideal kernels), and supported
+# levels must demonstrably flow into the kernels (never silently collapse
+# to L-infinity).
 
 
 class TestAxisGuardrails:
@@ -582,20 +582,6 @@ class TestAxisGuardrails:
                 engine="fastpath", topology="bounded",
             )
 
-    def test_spec_rejects_fastpath_nonideal_channel(self):
-        from repro.exec import ScenarioSpec
-
-        with pytest.raises(
-            ConfigurationError,
-            match=r'engine="fastpath" cannot run this scenario: channel '
-            r"imperfections require the reference engine, got "
-            r"channel='lossy'",
-        ):
-            ScenarioSpec(
-                kind="crash", r=1, t=1, protocol="crash-flood",
-                engine="fastpath", channel="lossy",
-            )
-
     def test_scenario_rejects_fastpath_off_torus(self):
         """The engine-level gate (rejection parity with the spec layer):
         a hand-built bounded-grid scenario pointed at the fastpath
@@ -612,10 +598,12 @@ class TestAxisGuardrails:
             sc.run()
 
     def test_scenario_rejects_fastpath_nonideal_channel(self):
+        from repro.radio.channel import ChannelImperfections
+
         sc = crash_broadcast_scenario(
-            r=1, t=1, placement="random", seed=3,
-            channel="lossy", engine="fastpath",
+            r=1, t=1, placement="random", seed=3, engine="fastpath"
         )
+        sc.channel = ChannelImperfections(loss_rate=0.2, tx_copies=6, seed=3)
         with pytest.raises(
             ConfigurationError,
             match=r'engine="fastpath" cannot run this scenario: channel '

@@ -71,21 +71,6 @@ class TestShippedSpecs:
         found = errors(report)
         assert any("topology" in f.message for f in found), found
 
-    def test_removing_channel_conditional_keying_fails(self, tmp_path):
-        source = open(SPECS_PATH).read()
-        stripped = re.sub(
-            r'        if self\.channel != "ideal":\n'
-            r'            payload\["channel"\] = self\.channel\n',
-            "",
-            source,
-        )
-        assert stripped != source, "channel re-add not found to delete"
-        report = run_lint(
-            tmp_path, {"repro/exec/specs.py": stripped}, RULE
-        )
-        found = errors(report)
-        assert any("channel" in f.message for f in found), found
-
 
 class TestSyntheticFixtures:
     SPEC_PREAMBLE = (

@@ -131,9 +131,10 @@ class TestHazards:
 
 class TestShippedTree:
     def test_executor_unit_function_is_a_submission_entry(self):
-        """The executor's one ``run_units`` call site names the unit
-        function the pool ships, so the pass walks the real closure --
-        not just the fixtures above."""
+        """The executor's one pool call,
+        ``pool.imap_unordered(_run_unit, tasks)`` in ``_compute_units``,
+        names the unit function the pool ships, so the pass walks the
+        real closure -- not just the fixtures above."""
         modules, failures = load_modules(discover_py_files([SRC_REPRO]))
         assert not failures
         entries = pool_entry_functions(LintContext(modules).project)

@@ -297,9 +297,8 @@ class TestLossAndRetransmission:
     def test_lossy_scenario_golden_jsonl(self):
         """Pins which receivers draw from the loss RNG, and in what
         order: live ones only, per copy, in neighbor order."""
-        sc = crash_broadcast_scenario(
-            r=1, t=1, placement="random", seed=11, channel="lossy"
-        )
+        sc = crash_broadcast_scenario(r=1, t=1, placement="random", seed=11)
+        sc.channel = ChannelImperfections(loss_rate=0.2, tx_copies=6, seed=11)
         recorder = JsonlRecorder(record_deliveries=True)
         sc.run(observers=(recorder,))
         assert jsonl_pin(recorder) == (

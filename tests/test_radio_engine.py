@@ -558,9 +558,8 @@ class TestWiring:
         [
             lambda: (Torus.square(7, 1), make_schedule(Torus.square(7, 1))),
             lambda: (make_topology("bounded", 9, 1), None),
-            lambda: (make_topology("rgg", 9, 1, seed=3), None),
         ],
-        ids=["caller-schedule", "bounded", "rgg"],
+        ids=["caller-schedule", "bounded"],
     )
     def test_other_engines_build_their_own(self, make):
         topology, schedule = make()
@@ -581,7 +580,6 @@ class TestWiring:
             Torus(9, 11, 1, "l1"),
             Torus.square(10, 2),
             make_topology("bounded", 9, 2),
-            make_topology("rgg", 9, 1, seed=3),
         ],
         ids=repr,
     )
@@ -632,12 +630,6 @@ class TestWiringGoldenJsonl:
         assert recorded_flood(make_topology("bounded", 9, 1)) == (
             "95cc61f8f03062d76931407c5c4e6fc0d3265f16e93f86309414f6928af1eb48",
             716,
-        )
-
-    def test_random_geometric_graph(self):
-        assert recorded_flood(make_topology("rgg", 9, 1, seed=3)) == (
-            "ef4ecabe03c89ab461850f6456f2d7cdf6203775bb63daa505038535f318b744",
-            328,
         )
 
     def test_coloring_schedule_with_multi_node_slots(self):

@@ -298,3 +298,36 @@ class TestRunTableProperties:
             clone = ScenarioSpec.from_dict(unit.spec.as_dict())
             assert clone.scenario_key() == unit.spec.scenario_key()
             assert clone == unit.spec
+
+
+# -- removed scenario levels --------------------------------------------------
+
+from repro.errors import ConfigurationError  # noqa: E402
+from repro.exec import load_runtable  # noqa: E402
+
+
+class TestRemovedLevels:
+    """A table written for a removed scenario level (the spec-level
+    ``channel`` axis, the ``rgg`` topology) fails by name, so it can
+    never run silently as the ideal channel or the torus."""
+
+    @pytest.mark.parametrize(
+        "base, factors, message",
+        [
+            ({}, {"channel": ["ideal", "lossy"]}, "unknown factor 'channel'"),
+            ({"channel": "jammed"}, {}, "unknown base field 'channel'"),
+            ({"topology": "rgg"}, {}, "unknown topology kind 'rgg'"),
+        ],
+        ids=["channel-factor", "channel-base", "rgg-topology"],
+    )
+    def test_stale_table_is_refused(self, tmp_path, base, factors, message):
+        path = tmp_path / "stale.json"
+        path.write_text(json.dumps({
+            "base": dict(
+                kind="crash", r=1, protocol="crash-flood",
+                placement="random", **base,
+            ),
+            "factors": dict(t=[1], **factors),
+        }))
+        with pytest.raises(ConfigurationError, match=message):
+            load_runtable(str(path)).expand()
