@@ -201,7 +201,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             "stats": stats,
         }
         pathlib.Path(args.json).write_text(
-            json.dumps(report, indent=2, sort_keys=True) + "\n"
+            json.dumps(report, sort_keys=True) + "\n"
         )
         print(f"wrote {args.json}")
     return 0
@@ -258,7 +258,7 @@ def _cmd_runtable(args: argparse.Namespace) -> int:
     print(format_table([report["stats"]], title="execution stats"))
     if args.json:
         pathlib.Path(args.json).write_text(
-            json.dumps(report, indent=2, sort_keys=True) + "\n"
+            json.dumps(report, sort_keys=True) + "\n"
         )
         print(f"wrote {args.json}")
     return 0
@@ -406,7 +406,7 @@ def _cmd_adversary(args: argparse.Namespace) -> int:
             print(f"wrote {cert.trace_events} events to {args.trace}")
     if args.json:
         pathlib.Path(args.json).write_text(
-            json.dumps(report, indent=2, sort_keys=True) + "\n"
+            json.dumps(report, sort_keys=True) + "\n"
         )
         print(f"wrote {args.json}")
     return 0

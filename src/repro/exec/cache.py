@@ -12,9 +12,9 @@ trial indices, and a code-version tag.  Consequences:
 - **invalidation by construction**: change any scenario parameter, the
   root seed, or the package version and the key -- hence the file --
   changes, so stale results can never be returned;
-- **corruption safety**: a truncated or hand-edited file fails JSON or
-  schema validation and is treated as a miss (and removed), never
-  trusted.
+- **corruption safety**: a truncated, undecodable or hand-edited file
+  fails JSON, key or schema validation and is treated as a miss (and
+  removed), never trusted.
 
 Layout
 ------
@@ -29,11 +29,19 @@ that shipped before the sharded store are never read: they predate row
 changes their keys cannot tell apart, so serving them would be a stale
 hit.  A flat entry's unit is recomputed into its shard instead.
 
-Writes are atomic and durable: the temp file is flushed and ``fsync``\\ ed
-before ``os.replace`` moves it into place (so a crash mid-write can
-leave at worst a torn *temp* file, never a torn entry), and the shard
-directory is fsynced best-effort afterwards so the rename itself
-survives a power cut.
+Writes are atomic but never forced to disk: each ``put`` stages the
+entry in a per-process temp file and moves it into place with
+``os.replace``, so a reader never sees a half-written entry and racing
+writers never share a temp file.  The cache is a memo, not a record,
+so durability buys nothing: a killed process loses none of what it
+wrote (the bytes sit in the page cache), and only an OS crash can leave
+an empty, torn or garbage entry.  ``get`` reads each of those as a miss
+(its embedded-key check stops a garbled file from serving another
+unit's rows), and the recompute writes the same bytes again.
+
+Entries are compact canonical JSON, read and written by the C JSON
+codec.  Entries written with ``indent=0`` by earlier versions parse to
+the same blob and keep serving.
 """
 
 from __future__ import annotations
@@ -89,25 +97,6 @@ def content_key(payload: Mapping[str, Any]) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-def _fsync_dir(path: pathlib.Path) -> None:
-    """Best-effort fsync of a directory (so renames inside it persist).
-
-    Some filesystems (and all of Windows) refuse ``open`` on a
-    directory; durability of the rename is then up to the OS, which is
-    the pre-fsync status quo -- never an error.
-    """
-    try:
-        fd = os.open(path, os.O_RDONLY)
-    except OSError:  # pragma: no cover - platform-dependent
-        return
-    try:
-        os.fsync(fd)
-    except OSError:  # pragma: no cover - platform-dependent
-        pass
-    finally:
-        os.close(fd)
-
-
 class ResultCache:
     """A sharded directory of content-addressed work-unit results.
 
@@ -125,6 +114,13 @@ class ResultCache:
 
     def __init__(self, root: pathlib.Path) -> None:
         self.root = pathlib.Path(root)
+        # entry paths are built as strings: pathlib's three joins took
+        # a fifth of every warm probe
+        self._shards = os.path.join(self.root, SHARD_DIR)
+
+    def _entry(self, key: str) -> str:
+        """:meth:`path_for` as a string."""
+        return f"{self._shards}{os.sep}{key[:2]}{os.sep}{key}.json"
 
     # -- layout -------------------------------------------------------------
 
@@ -134,7 +130,7 @@ class ResultCache:
 
     def path_for(self, key: str) -> pathlib.Path:
         """Canonical (sharded) location of a unit with ``key``."""
-        return self.shard_for(key) / f"{key}.json"
+        return pathlib.Path(self._entry(key))
 
     def entry_paths(self) -> Iterator[pathlib.Path]:
         """Every shard entry file currently on disk, in lexicographic
@@ -150,14 +146,17 @@ class ResultCache:
         """The cached rows for ``key``, or ``None`` on miss/corruption;
         corrupt or torn files are deleted so they cannot shadow a later
         write."""
-        path = self.path_for(key)
+        path = self._entry(key)
         try:
-            raw = path.read_text(encoding="utf-8")
+            with open(path, "rb") as fh:
+                raw = fh.read()
         except OSError:
             return None
         try:
-            blob = json.loads(raw)
-            if blob.get("key") != key:
+            # undecodable bytes raise UnicodeDecodeError, a ValueError:
+            # corruption like any other
+            blob = json.loads(raw.decode("utf-8"))
+            if not isinstance(blob, dict) or blob.get("key") != key:
                 raise ValueError("key mismatch")
             rows = blob["rows"]
             if not isinstance(rows, list) or not all(
@@ -167,7 +166,7 @@ class ResultCache:
         except (ValueError, KeyError, TypeError):
             # corrupted entry: recover by recomputing, never by trusting
             try:
-                path.unlink()
+                os.unlink(path)
             except OSError:  # pragma: no cover - concurrent cleanup
                 pass
             return None
@@ -185,38 +184,39 @@ class ResultCache:
         rows: List[Dict[str, Any]],
         meta: Optional[Mapping[str, Any]] = None,
     ) -> pathlib.Path:
-        """Durably and atomically persist ``rows`` under ``key``.
+        """Atomically persist ``rows`` under ``key``.
 
-        The temp file is fsynced before the rename and the shard
-        directory after it, so a crash at any point leaves either the
-        old state or the complete new entry -- never a torn unit a
-        resumed run could read (torn *temp* files are ignored by
-        :meth:`get` and overwritten by the next ``put``).
+        The entry is staged in a per-process temp file and moved into
+        place by ``os.replace``, so a reader sees the old state or the
+        complete new entry, never a torn one.  Nothing is forced to disk
+        (see the module docstring): an OS crash can lose or tear recent
+        entries, and :meth:`get` reads those as misses.  A torn *temp*
+        file is never read and the next ``put`` overwrites it.
 
         Returns the sharded entry path.
         """
-        shard = self.shard_for(key)
-        shard.mkdir(parents=True, exist_ok=True)
-        path = self.path_for(key)
+        path = self._entry(key)
         blob = {
             "key": key,
             "code_version": code_version_tag(),
             "meta": dict(meta or {}),
             "rows": rows,
         }
-        data = json.dumps(blob, sort_keys=True, indent=0)
+        data = json.dumps(blob, sort_keys=True, separators=(",", ":"))
         # per-process temp name: two processes racing the same key must
         # not stage through one file, or the loser's rename pulls the
         # winner's staged bytes out from under it (the final os.replace
         # still serializes them -- and both stage identical content)
-        tmp = path.with_suffix(f".json.{os.getpid()}.tmp")
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(data)
-            fh.flush()
-            os.fsync(fh.fileno())
+        tmp = f"{path}.{os.getpid()}.tmp"
+        try:
+            fh = open(tmp, "wb")
+        except FileNotFoundError:
+            os.makedirs(os.path.dirname(path), exist_ok=True)
+            fh = open(tmp, "wb")
+        with fh:
+            fh.write(data.encode())
         os.replace(tmp, path)
-        _fsync_dir(shard)
-        return path
+        return pathlib.Path(path)
 
     def __len__(self) -> int:
         """Number of shard entry files currently on disk."""

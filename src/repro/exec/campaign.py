@@ -41,15 +41,28 @@ def unit_cache_key(
     cache rows are shared across engines -- a sweep computed on
     ``reference`` is a 100% cache hit when rerun with ``fastpath``.
     """
-    payload = {
+    return _unit_key(_key_base(spec, root_seed), indices)
+
+
+def _key_base(spec: ScenarioSpec, root_seed: int) -> Dict[str, Any]:
+    """Every key field of a unit of ``spec`` but its indices.
+
+    Built once per spec by :func:`plan_units`; :func:`unit_cache_key`
+    goes through the same two functions, so the keys cannot drift.
+    """
+    base: Dict[str, Any] = {
         "scenario": spec.key_payload(),
         "root_seed": int(root_seed),
-        "indices": [int(i) for i in indices],
         "code_version": code_version_tag(),
     }
     if spec.collect_metrics:
-        payload["collect_metrics"] = True
-    return content_key(payload)
+        base["collect_metrics"] = True
+    return base
+
+
+def _unit_key(base: Dict[str, Any], indices: Sequence[int]) -> str:
+    """The key of the unit covering ``indices`` (see :func:`_key_base`)."""
+    return content_key(dict(base, indices=[int(i) for i in indices]))
 
 
 @dataclass
@@ -78,6 +91,7 @@ def plan_units(
     """
     units: List[UnitState] = []
     for spec_index, spec in enumerate(specs):
+        base = _key_base(spec, root_seed)
         for start in range(0, spec.trials, chunk_size):
             indices = tuple(
                 range(start, min(start + chunk_size, spec.trials))
@@ -86,7 +100,7 @@ def plan_units(
                 UnitState(
                     spec_index=spec_index,
                     indices=indices,
-                    key=unit_cache_key(spec, root_seed, indices),
+                    key=_unit_key(base, indices),
                 )
             )
     return units

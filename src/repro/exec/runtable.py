@@ -45,7 +45,7 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
 from repro.exec.executor import ExecStats, SweepExecutor
-from repro.exec.specs import ScenarioSpec
+from repro.exec.specs import ScenarioSpec, check_scenario_kwargs
 
 #: schema tag stamped on serialized tables and reports
 RUNTABLE_SCHEMA = "repro/runtable/v1"
@@ -200,7 +200,11 @@ class RunTable:
         (two cells normalizing to the same scenario key -- e.g. two
         ``strategy`` levels under ``kind="crash"``, where the builder
         ignores the strategy -- raise :class:`ConfigurationError` naming
-        both cells instead of silently double-running one scenario).
+        both cells instead of silently double-running one scenario).  A
+        ``scenario_kwargs`` key the cell's scenario builder or protocol
+        cannot take is refused here too, by name
+        (:func:`~repro.exec.specs.check_scenario_kwargs`), not left to
+        fail mid-run.
         """
         base_kwargs: Dict[str, Any] = {}
         for k, v in self.base:
@@ -220,6 +224,7 @@ class RunTable:
             kwargs.update(levels)
             try:
                 spec = ScenarioSpec(trials=self.repetitions, **kwargs)
+                check_scenario_kwargs(spec)
             except (ConfigurationError, TypeError) as exc:
                 raise ConfigurationError(
                     f"run-table cell {run_id!r} does not describe a "

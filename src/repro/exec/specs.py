@@ -15,9 +15,19 @@ drags simulator state across the pickle boundary).
 
 from __future__ import annotations
 
+import inspect
 import json
 from dataclasses import dataclass, field, fields
-from typing import TYPE_CHECKING, Any, Dict, Mapping, Optional, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    Dict,
+    FrozenSet,
+    Mapping,
+    Optional,
+    Tuple,
+)
 
 from repro.errors import ConfigurationError
 from repro.grid.factory import TOPOLOGY_KINDS
@@ -228,6 +238,15 @@ def build_scenario(spec: ScenarioSpec, seed: int) -> "BroadcastScenario":
     sweep row came from -- same builder, same derived seed -- and attach
     its own instrumentation.
     """
+    builder, kwargs = _builder_call(spec, seed)
+    return builder(**kwargs, **dict(spec.scenario_kwargs))
+
+
+def _builder_call(
+    spec: ScenarioSpec, seed: int
+) -> Tuple[Callable[..., "BroadcastScenario"], Dict[str, Any]]:
+    """The scenario builder of ``spec`` and the keywords it is called
+    with, before ``spec.scenario_kwargs``."""
     # imported lazily so a spec can be constructed (e.g. for cache-key
     # inspection) without paying for the simulator stack
     from repro.experiments.scenarios import (
@@ -235,23 +254,7 @@ def build_scenario(spec: ScenarioSpec, seed: int) -> "BroadcastScenario":
         crash_broadcast_scenario,
     )
 
-    extra = dict(spec.scenario_kwargs)
-    if spec.kind == "byzantine":
-        return byzantine_broadcast_scenario(
-            r=spec.r,
-            t=spec.t,
-            protocol=spec.protocol,
-            strategy=spec.strategy or "fabricator",
-            placement=spec.placement,
-            metric=spec.metric,
-            seed=seed,
-            enforce_budget=spec.enforce_budget,
-            max_rounds=spec.max_rounds,
-            engine=spec.engine,
-            topology_kind=spec.topology,
-            **extra,
-        )
-    return crash_broadcast_scenario(
+    kwargs: Dict[str, Any] = dict(
         r=spec.r,
         t=spec.t,
         placement=spec.placement,
@@ -262,8 +265,54 @@ def build_scenario(spec: ScenarioSpec, seed: int) -> "BroadcastScenario":
         protocol=spec.protocol,
         engine=spec.engine,
         topology_kind=spec.topology,
-        **extra,
     )
+    if spec.kind == "byzantine":
+        kwargs["strategy"] = spec.strategy or "fabricator"
+        return byzantine_broadcast_scenario, kwargs
+    return crash_broadcast_scenario, kwargs
+
+
+def _keywords(fn: Callable[..., Any]) -> FrozenSet[str]:
+    """The parameters of ``fn`` that a keyword argument can bind."""
+    return frozenset(
+        name
+        for name, param in inspect.signature(fn).parameters.items()
+        if param.kind in (param.POSITIONAL_OR_KEYWORD, param.KEYWORD_ONLY)
+    )
+
+
+def check_scenario_kwargs(spec: ScenarioSpec) -> None:
+    """Refuse ``scenario_kwargs`` keys the scenario cannot take.
+
+    A key may name a keyword of the spec's scenario builder that
+    :func:`build_scenario` does not set from the spec's own fields
+    (e.g. ``torus_side``).  The Byzantine builder forwards any other
+    keyword to the protocol constructor, so there a key may also name
+    a keyword the protocol class adds to the base constructor (e.g.
+    ``max_relays`` for ``bv-indirect``).  Both sets are read from the
+    signatures, so they follow the code.  :class:`ScenarioSpec` itself
+    stays permissive; run tables, where outside input names builder
+    keywords, call this per cell.
+
+    Raises :class:`ConfigurationError` naming every unknown key.
+    """
+    if not spec.scenario_kwargs:
+        return
+    from repro.protocols.base import BroadcastProtocolNode
+    from repro.protocols.registry import protocol_class
+
+    builder, fixed = _builder_call(spec, 0)
+    allowed = _keywords(builder) - set(fixed)
+    if spec.kind == "byzantine":
+        allowed |= _keywords(protocol_class(spec.protocol)) - _keywords(
+            BroadcastProtocolNode
+        )
+    unknown = sorted(set(dict(spec.scenario_kwargs)) - allowed)
+    if unknown:
+        raise ConfigurationError(
+            f"unknown scenario_kwargs key(s) {unknown} for a {spec.kind} "
+            f"scenario running {spec.protocol!r}; allowed: {sorted(allowed)}"
+        )
 
 
 def run_trial(spec: ScenarioSpec, seed: int) -> Dict[str, Any]:

@@ -51,12 +51,12 @@ def make_protocol(
     ``kwargs`` pass through to the protocol constructor (e.g.
     ``max_relays`` for ``bv-indirect``).
     """
-    return _protocol_class(name)(
+    return protocol_class(name)(
         t, source, source_value=source_value, metric=metric, **kwargs
     )
 
 
-def _protocol_class(name: str) -> Type[BroadcastProtocolNode]:
+def protocol_class(name: str) -> Type[BroadcastProtocolNode]:
     """The registered class of protocol ``name``."""
     try:
         return PROTOCOLS[name]
@@ -80,7 +80,7 @@ def correct_process_map(
     Faulty nodes are simply absent from the returned map -- the scenario
     builder overlays their adversarial processes.
     """
-    cls = _protocol_class(protocol)
+    cls = protocol_class(protocol)
     canonical = topology.canonical
     metric = topology.metric
     src = canonical(source)

@@ -128,6 +128,25 @@ class TestCommands:
         assert (flood["protocol"], cpa["protocol"]) == ("crash-flood", "cpa")
         assert flood["points"] != cpa["points"]
 
+    def test_runtable_refuses_unknown_scenario_kwargs(
+        self, capsys, tmp_path
+    ):
+        """An unknown builder keyword is a configuration error (status
+        2) at ``--expand-only``, not a traceback mid-run."""
+        import json
+
+        table = tmp_path / "table.json"
+        table.write_text(json.dumps({
+            "base": {
+                "kind": "crash", "r": 1, "t": 1, "protocol": "crash-flood",
+                "placement": "random",
+                "scenario_kwargs": {"channel": "lossy"},
+            },
+        }))
+        for extra in (["--expand-only"], ["--no-cache"]):
+            assert main(["runtable", str(table), *extra]) == 2
+            assert "'channel'" in capsys.readouterr().err
+
     def test_sweep_has_no_channel_option(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main([

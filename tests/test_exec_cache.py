@@ -1,7 +1,10 @@
 """Tests for repro.exec.cache: hit/miss, invalidation, corruption
-recovery, the sharded layout (pre-shard flat entries are never read),
-write durability (fsync + torn-file recovery), concurrent writers, and
-the --no-cache bypass."""
+recovery (truncated, empty, undecodable and garbled entries are misses),
+the sharded layout (pre-shard flat entries are never read), the entry
+format (compact canonical JSON; ``indent=0`` entries of earlier versions
+still hit), writes that stage through a temp file and ``os.replace``
+without forcing anything to disk, concurrent writers, and the
+--no-cache bypass."""
 
 from __future__ import annotations
 
@@ -130,6 +133,39 @@ class TestCorruptionRecovery:
         path.write_text(json.dumps({"key": key, "rows": "not-a-list"}))
         assert cache.get(key) is None
 
+    def test_undecodable_entry_is_a_miss_and_removed(self, cache):
+        """Bytes that are not UTF-8 are corruption like any other, not
+        an exception out of ``get``."""
+        key = content_key({"x": 1})
+        path = cache.put(key, ROWS)
+        path.write_bytes(b"\xff\xfe")
+        assert cache.get(key) is None
+        assert not path.exists()
+
+    def test_non_object_entry_is_a_miss_and_removed(self, cache):
+        key = content_key({"x": 1})
+        path = cache.put(key, ROWS)
+        path.write_text("[]")
+        assert cache.get(key) is None
+        assert not path.exists()
+
+    def test_executor_recomputes_over_undecodable_entry(self, cache):
+        """The sweep survives an undecodable entry: it recomputes the
+        unit to equal rows and banks it again."""
+        spec = ScenarioSpec(
+            kind="crash", r=1, t=1, trials=2, protocol="crash-flood"
+        )
+        executor = SweepExecutor(cache=cache)
+        clean = executor.run([spec])
+        (victim,) = list(cache.entry_paths())
+        blob = victim.read_bytes()
+        victim.write_bytes(b"\xff\xfe")
+        recovered = executor.run([spec])
+        assert recovered.stats.cache_misses == 1
+        assert recovered.rows == clean.rows
+        assert victim.read_bytes() == blob
+        assert executor.run([spec]).stats.cache_hits == 1
+
     def test_executor_recomputes_over_corrupt_entry(self, cache):
         """A corrupted work-unit file must fall back to recompute --
         same rows, no crash."""
@@ -197,6 +233,38 @@ class TestDurability:
         assert executor.run([spec]).stats.cache_hits == 1
         assert victim.read_bytes() == blob
 
+    def test_zero_length_entry_is_a_miss_and_rewritten(self, cache):
+        """An OS crash before the page cache reached the disk can leave
+        an empty entry: it misses, is removed, and the next sweep writes
+        it again with equal rows."""
+        spec = ScenarioSpec(
+            kind="crash", r=1, t=1, trials=2, protocol="crash-flood"
+        )
+        executor = SweepExecutor(cache=cache)
+        clean = executor.run([spec])
+        (victim,) = list(cache.entry_paths())
+        blob = victim.read_bytes()
+        victim.write_bytes(b"")
+        key = unit_cache_key(spec, 0, (0, 1))
+        assert cache.get(key) is None
+        assert not victim.exists()
+        recovered = executor.run([spec])
+        assert recovered.stats.cache_misses == 1
+        assert recovered.rows == clean.rows
+        assert victim.read_bytes() == blob
+
+    def test_put_never_forces_to_disk(self, cache, monkeypatch):
+        """The cache is a memo: ``put`` stages and renames, never
+        fsyncs."""
+
+        def refuse(fd):
+            raise AssertionError("put called os.fsync")
+
+        monkeypatch.setattr(os, "fsync", refuse)
+        key = content_key({"x": 1})
+        cache.put(key, ROWS)
+        assert cache.get(key) == ROWS
+
     def test_torn_tmp_file_never_shadows_the_entry(self, cache):
         """A crash between staging and rename leaves only a ``.tmp``
         file; reads miss and the next put overwrites it."""
@@ -208,6 +276,40 @@ class TestDurability:
         cache.put(key, ROWS)
         assert cache.get(key) == ROWS
         assert not tmp.exists()
+
+
+class TestEntryFormat:
+    def test_entry_is_compact_canonical_json(self, cache):
+        key = content_key({"x": 1})
+        meta = {"root_seed": 3, "indices": [0]}
+        blob = {
+            "key": key,
+            "code_version": code_version_tag(),
+            "meta": meta,
+            "rows": ROWS,
+        }
+        path = cache.put(key, ROWS, meta=meta)
+        assert path.read_bytes() == json.dumps(
+            blob, sort_keys=True, separators=(",", ":")
+        ).encode()
+
+    def test_indented_entry_of_earlier_versions_still_hits(self, cache):
+        """Entries written with ``indent=0``, the layout before compact
+        entries, parse to the same blob: a cache warmed then keeps
+        serving."""
+        spec = ScenarioSpec(
+            kind="crash", r=1, t=1, trials=2, protocol="crash-flood"
+        )
+        executor = SweepExecutor(cache=cache)
+        clean = executor.run([spec])
+        (entry,) = list(cache.entry_paths())
+        blob = json.loads(entry.read_bytes())
+        entry.write_text(json.dumps(blob, sort_keys=True, indent=0))
+        key = unit_cache_key(spec, 0, (0, 1))
+        assert cache.get(key) == clean.rows[0]
+        warm = executor.run([spec])
+        assert warm.stats.cache_hits == 1
+        assert warm.rows == clean.rows
 
 
 def _race_put(args):

@@ -8,6 +8,7 @@ with byte-identical rows.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
@@ -19,6 +20,7 @@ from repro.exec import (
     derive_seed,
     plan_units,
     run_trial,
+    unit_cache_key,
 )
 from repro.exec import executor as executor_module
 
@@ -57,6 +59,47 @@ class TestPlanning:
         a = plan_units([CRASH], 7, chunk_size=2)
         b = plan_units([CRASH], 7, chunk_size=2)
         assert [u.key for u in a] == [u.key for u in b]
+
+    @pytest.mark.parametrize(
+        "collect_metrics, first, last",
+        [
+            (
+                False,
+                "6d48eeeb8e726459b1fd89dd737dced61bf5d06c5ef96932bb9f1cc5c07d2acd",
+                "f14e5474e1bfacfc6a02157db4957414ea4c2193f11f71c692c3dc09c52860ce",
+            ),
+            (
+                True,
+                "cfe438f9d10aec75cf1326145fcd9900fa436271b42180fd7c9ffa03ac43dcb7",
+                "9dd3f75b9bdd06e42212c43fbcf0a1bc64f145f6bc41c157923c38ee8ef9f100",
+            ),
+        ],
+        ids=["rows", "metrics"],
+    )
+    def test_plan_keys_are_pinned(self, collect_metrics, first, last):
+        """The t=0 cell of the default r=2 crash table at seed 4242: a
+        key that moves orphans every cache entry banked under it."""
+        spec = ScenarioSpec(
+            kind="crash", r=2, t=0, trials=16, protocol="crash-flood",
+            placement="random", collect_metrics=collect_metrics,
+        )
+        units = plan_units([spec], 4242)
+        assert [u.indices for u in (units[0], units[-1])] == [
+            (0, 1, 2, 3), (12, 13, 14, 15),
+        ]
+        assert (units[0].key, units[-1].key) == (first, last)
+
+    @pytest.mark.parametrize("collect_metrics", [False, True])
+    def test_plan_keys_equal_unit_cache_key(self, collect_metrics):
+        specs = [
+            dataclasses.replace(spec, collect_metrics=collect_metrics)
+            for spec in (CRASH, BYZ)
+        ]
+        units = plan_units(specs, 11, chunk_size=4)
+        assert [u.key for u in units] == [
+            unit_cache_key(specs[u.spec_index], 11, u.indices)
+            for u in units
+        ]
 
 
 class TestOrderedFinalization:

@@ -331,3 +331,62 @@ class TestRemovedLevels:
         }))
         with pytest.raises(ConfigurationError, match=message):
             load_runtable(str(path)).expand()
+
+
+# -- scenario_kwargs keys -----------------------------------------------------
+
+
+def _kwargs_table(kind, protocol, scenario_kwargs):
+    return RunTable.from_dict({
+        "base": {
+            "kind": kind, "r": 1, "protocol": protocol,
+            "placement": "random", "scenario_kwargs": scenario_kwargs,
+        },
+        "factors": {"t": [0, 1]},
+    })
+
+
+class TestScenarioKwargs:
+    """``scenario_kwargs`` reaches the scenario builder (and, for a
+    Byzantine scenario, the protocol constructor), so an unknown key
+    fails at expansion, by name, instead of mid-run."""
+
+    @pytest.mark.parametrize(
+        "kind, protocol, key",
+        [
+            ("crash", "crash-flood", "channel"),
+            ("byzantine", "bv-two-hop", "channel"),
+            ("byzantine", "bv-two-hop", "max_relays"),
+            ("crash", "crash-flood", "seed"),
+        ],
+        ids=["crash", "byzantine", "protocol-lacks-it", "set-by-the-spec"],
+    )
+    def test_unknown_key_fails_at_expand(self, kind, protocol, key):
+        table = _kwargs_table(kind, protocol, {key: 2})
+        with pytest.raises(ConfigurationError, match=f"'{key}'"):
+            table.expand()
+
+    @pytest.mark.parametrize(
+        "kind, protocol, scenario_kwargs",
+        [
+            ("crash", "crash-flood", {"torus_side": 100}),
+            ("crash", "crash-flood", {"staggered_max_round": 3}),
+            ("byzantine", "bv-indirect", {"max_relays": 2}),
+        ],
+        ids=["torus-side", "staggered", "max-relays"],
+    )
+    def test_builder_and_protocol_keywords_expand(
+        self, kind, protocol, scenario_kwargs
+    ):
+        table = _kwargs_table(kind, protocol, scenario_kwargs)
+        for unit in table.expand():
+            assert dict(unit.spec.scenario_kwargs) == scenario_kwargs
+
+    def test_protocol_keyword_runs(self):
+        """A key that expands also builds and runs: the
+        ``bv-indirect`` constructor takes ``max_relays``."""
+        (unit, _) = _kwargs_table(
+            "byzantine", "bv-indirect", {"max_relays": 2}
+        ).expand()
+        row = run_trial(unit.spec, 5)
+        assert row["safe"] and row["achieved"]
