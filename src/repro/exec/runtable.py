@@ -164,6 +164,13 @@ class RunTable:
             raise ConfigurationError(
                 "base must be a mapping of spec field -> value"
             )
+        kwargs_in = base_in.get("scenario_kwargs", {})
+        if not isinstance(kwargs_in, Mapping):
+            raise ConfigurationError(
+                "base.scenario_kwargs must be a mapping of builder "
+                f"keyword -> value, got {type(kwargs_in).__name__} "
+                f"{kwargs_in!r}"
+            )
         return cls(
             factors=tuple(
                 (name, tuple(levels)) for name, levels in factors_in.items()

@@ -23,10 +23,10 @@ from typing import (
     Any,
     Callable,
     Dict,
-    FrozenSet,
     Mapping,
     Optional,
     Tuple,
+    get_type_hints,
 )
 
 from repro.errors import ConfigurationError
@@ -272,29 +272,36 @@ def _builder_call(
     return crash_broadcast_scenario, kwargs
 
 
-def _keywords(fn: Callable[..., Any]) -> FrozenSet[str]:
-    """The parameters of ``fn`` that a keyword argument can bind."""
-    return frozenset(
-        name
+def _keywords(fn: Callable[..., Any]) -> Dict[str, Any]:
+    """The parameters of ``fn`` that a keyword argument can bind, with
+    their evaluated annotations (``None`` where there is none)."""
+    hints = get_type_hints(fn.__init__ if isinstance(fn, type) else fn)
+    return {
+        name: hints.get(name)
         for name, param in inspect.signature(fn).parameters.items()
         if param.kind in (param.POSITIONAL_OR_KEYWORD, param.KEYWORD_ONLY)
-    )
+    }
 
 
 def check_scenario_kwargs(spec: ScenarioSpec) -> None:
-    """Refuse ``scenario_kwargs`` keys the scenario cannot take.
+    """Refuse ``scenario_kwargs`` keys the scenario cannot take, and
+    integer keywords with values it cannot take.
 
     A key may name a keyword of the spec's scenario builder that
     :func:`build_scenario` does not set from the spec's own fields
     (e.g. ``torus_side``).  The Byzantine builder forwards any other
     keyword to the protocol constructor, so there a key may also name
     a keyword the protocol class adds to the base constructor (e.g.
-    ``max_relays`` for ``bv-indirect``).  Both sets are read from the
+    ``max_relays`` for ``bv-indirect``).  A keyword annotated ``int``
+    (or ``Optional[int]``) counts something -- a side, a round, relays
+    -- so its value must be an ``int`` of at least 0, not a ``bool``
+    (or ``None``).  Names and annotations are read from the
     signatures, so they follow the code.  :class:`ScenarioSpec` itself
     stays permissive; run tables, where outside input names builder
     keywords, call this per cell.
 
-    Raises :class:`ConfigurationError` naming every unknown key.
+    Raises :class:`ConfigurationError` naming every unknown key, or
+    the first bad value and its key.
     """
     if not spec.scenario_kwargs:
         return
@@ -302,17 +309,34 @@ def check_scenario_kwargs(spec: ScenarioSpec) -> None:
     from repro.protocols.registry import protocol_class
 
     builder, fixed = _builder_call(spec, 0)
-    allowed = _keywords(builder) - set(fixed)
+    allowed: Dict[str, Any] = {}
     if spec.kind == "byzantine":
-        allowed |= _keywords(protocol_class(spec.protocol)) - _keywords(
-            BroadcastProtocolNode
-        )
-    unknown = sorted(set(dict(spec.scenario_kwargs)) - allowed)
+        base = _keywords(BroadcastProtocolNode)
+        for name, annotation in _keywords(
+            protocol_class(spec.protocol)
+        ).items():
+            if name not in base:
+                allowed[name] = annotation
+    for name, annotation in _keywords(builder).items():
+        if name not in fixed:
+            allowed[name] = annotation
+    unknown = sorted(set(dict(spec.scenario_kwargs)) - set(allowed))
     if unknown:
         raise ConfigurationError(
             f"unknown scenario_kwargs key(s) {unknown} for a {spec.kind} "
             f"scenario running {spec.protocol!r}; allowed: {sorted(allowed)}"
         )
+    for name, value in spec.scenario_kwargs:
+        annotation = allowed[name]
+        if annotation == Optional[int] and value is None:
+            continue
+        if annotation in (int, Optional[int]) and (
+            isinstance(value, bool) or not isinstance(value, int) or value < 0
+        ):
+            raise ConfigurationError(
+                f"scenario_kwargs {name!r} must be an int >= 0, got "
+                f"{value!r}"
+            )
 
 
 def run_trial(spec: ScenarioSpec, seed: int) -> Dict[str, Any]:

@@ -267,7 +267,7 @@ def byzantine_broadcast_scenario(
     strategy: str = "fabricator",
     placement: str = "strip",
     metric="linf",
-    value: int = 1,
+    value: Any = 1,
     seed: int = 0,
     torus: Optional[Torus] = None,
     torus_side: Optional[int] = None,
@@ -416,7 +416,7 @@ def crash_broadcast_scenario(
     t: int,
     placement: str = "strip",
     metric="linf",
-    value: int = 1,
+    value: Any = 1,
     seed: int = 0,
     torus: Optional[Torus] = None,
     torus_side: Optional[int] = None,

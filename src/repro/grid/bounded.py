@@ -17,7 +17,7 @@ from typing import Iterator, Tuple
 
 from repro.errors import ConfigurationError
 from repro.geometry.coords import Coord
-from repro.grid.topology import Topology
+from repro.grid.topology import Topology, check_sides
 
 
 class BoundedGrid(Topology):
@@ -26,12 +26,13 @@ class BoundedGrid(Topology):
 
     def __init__(self, width: int, height: int, r: int, metric="linf") -> None:
         super().__init__(r, metric)
+        check_sides("grid", width, height)
         if width < 1 or height < 1:
             raise ConfigurationError(
                 f"grid must be at least 1x1, got {width}x{height}"
             )
-        self._width = int(width)
-        self._height = int(height)
+        self._width = width
+        self._height = height
 
     @classmethod
     def square(cls, side: int, r: int, metric="linf") -> "BoundedGrid":

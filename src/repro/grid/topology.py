@@ -28,6 +28,19 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.grid.stencil import TorusStencil
 
 
+def check_sides(kind: str, width: object, height: object) -> None:
+    """Refuse a finite grid side that is not an ``int`` (a ``bool``
+    included) rather than round it: a side of 7.5 names no grid.
+
+    :raises ConfigurationError: naming ``kind`` and both sides.
+    """
+    for side in (width, height):
+        if isinstance(side, bool) or not isinstance(side, int):
+            raise ConfigurationError(
+                f"{kind} sides must be integers, got {width!r} x {height!r}"
+            )
+
+
 class Topology(ABC):
     """A node layout plus a radio reachability relation.
 

@@ -28,7 +28,7 @@ from repro.errors import ConfigurationError
 from repro.geometry.coords import Coord
 from repro.geometry.metrics import get_metric
 from repro.grid.stencil import TorusStencil, torus_stencil
-from repro.grid.topology import Topology
+from repro.grid.topology import Topology, check_sides
 
 
 class Torus(Topology):
@@ -42,14 +42,15 @@ class Torus(Topology):
 
     def __init__(self, width: int, height: int, r: int, metric="linf") -> None:
         super().__init__(r, metric)
+        check_sides("torus", width, height)
         if width < 2 * self.r + 1 or height < 2 * self.r + 1:
             raise ConfigurationError(
                 f"torus {width}x{height} is too small for r={self.r}: both "
                 f"sides must be at least 2r+1 = {2 * self.r + 1} so that "
                 "neighborhoods do not wrap onto themselves"
             )
-        self._width = int(width)
-        self._height = int(height)
+        self._width = width
+        self._height = height
 
     @classmethod
     def square(cls, side: int, r: int, metric="linf") -> "Torus":

@@ -39,6 +39,7 @@ from functools import lru_cache
 from itertools import product
 from operator import add
 from typing import (
+    AbstractSet,
     Any,
     Callable,
     Deque,
@@ -103,6 +104,23 @@ class SimulationResult:
     def undecided_nodes(self) -> List[Coord]:
         """Nodes that never committed."""
         return sorted(n for n, p in self.processes.items() if not p.is_decided())
+
+    def failing_nodes(
+        self, value: Any, correct_nodes: AbstractSet[Coord]
+    ) -> List[Coord]:
+        """The ``correct_nodes`` that did not commit ``value``, sorted.
+
+        Undecided nodes and nodes holding a value ``!= value`` both
+        fail.  A scan of ``processes``, which holds every node of the
+        run; only the failing nodes are sorted (most correct nodes
+        pass).
+        """
+        return sorted(
+            node
+            for node, proc in self.processes.items()
+            if node in correct_nodes
+            and ((got := proc.committed_value()) is None or got != value)
+        )
 
 
 class _Wiring:

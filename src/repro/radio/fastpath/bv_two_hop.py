@@ -71,7 +71,7 @@ def run_bv_two_hop_kernel(
     crash_rounds,
     max_rounds: int,
     max_messages: Optional[int],
-    trackers: List[SourceTracker],
+    trackers: Optional[List[SourceTracker]],
 ) -> KernelStats:
     """Simulate bv-two-hop on ``lattice`` and return its statistics.
 
@@ -81,7 +81,7 @@ def run_bv_two_hop_kernel(
     evidence index keys chains by ``value``, exactly as the reference
     protocol does.
     """
-    require_numpy()  # fail the same way as the vectorized kernels
+    np = require_numpy()
     stats = KernelStats()
     metric = lattice.metric
     rr = lattice.r
@@ -228,9 +228,8 @@ def run_bv_two_hop_kernel(
         r += 1
 
     stats.rounds = rounds
-    stats.committed_mask = [
-        i in states and states[i].committed for i in range(num_nodes)
-    ]
+    stats.committed_mask = np.zeros(num_nodes, dtype=bool)
+    stats.committed_mask[commit_idx] = True
     return fill_stats(
         stats,
         lattice,

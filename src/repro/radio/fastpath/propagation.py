@@ -168,7 +168,7 @@ def run_propagation_kernel(
     byz_plans: Dict[int, ByzantinePlan],
     max_rounds: int,
     max_messages: Optional[int],
-    trackers: List[SourceTracker],
+    trackers: Optional[List[SourceTracker]],
 ) -> KernelStats:
     """Simulate the commit-at-``k`` protocol on ``lattice``; return its
     statistics.
@@ -186,8 +186,9 @@ def run_propagation_kernel(
         :class:`~repro.radio.fastpath.byzantine.ByzantinePlan` (silent
         Byzantine nodes are absent: they only receive).
     trackers:
-        One :class:`SourceTracker` per distinct observer source (empty
-        when no observer needs wave-fronts).
+        One :class:`SourceTracker` per distinct observer source, or
+        ``None`` for a run no ``RunMetrics`` observer reads
+        (:func:`~repro.radio.fastpath.stats.fill_stats`).
     """
     np = require_numpy()
     stats = KernelStats()
@@ -303,7 +304,7 @@ def run_propagation_kernel(
         stats.wrong_values = {
             lattice.coords_all[i]: values[int(vid[i])] for i in wrong
         }
-    stats.committed_mask = committed.tolist()
+    stats.committed_mask = committed
     cidx = committed.nonzero()[0]
     return fill_stats(
         stats,

@@ -7,16 +7,18 @@ fastpath kernels keep no such objects.  To stay drop-in compatible with
 a fastpath run materializes a ``processes`` map of tiny *views*: every
 committed node shares one flyweight carrying the broadcast value, every
 undecided node shares another.  Two objects total, regardless of grid
-size.
+size.  Grading does not walk that map: the result keeps the kernel's
+masks and answers :meth:`FastSimulationResult.failing_nodes` from them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Dict, Iterable, Optional
+from dataclasses import dataclass, field
+from typing import AbstractSet, Any, Dict, Iterable, List, Optional, Sequence
 
 from repro.geometry.coords import Coord
 from repro.radio.engine import SimulationResult
+from repro.radio.fastpath.compat import require_numpy
 from repro.radio.trace import Trace
 
 
@@ -47,11 +49,45 @@ class FastSimulationResult(SimulationResult):
     """A :class:`SimulationResult` produced by the fastpath backend.
 
     Identical shape and semantics; the subclass exists so callers (and
-    tests) can tell which backend produced a result without an extra
-    field changing equality or serialization.
+    tests) can tell which backend produced a result.  It also keeps the
+    kernel's view of the run for grading, outside equality and repr:
+    ``nodes`` (canonical node per flat index), the ``(N,)`` bool
+    ``correct_mask`` and ``committed_mask``, and ``wrong_values``
+    (committed nodes holding some value other than the source's).
     """
 
     engine: str = "fastpath"
+    nodes: Sequence[Coord] = field(default=(), repr=False, compare=False)
+    correct_mask: Any = field(default=None, repr=False, compare=False)
+    committed_mask: Any = field(default=None, repr=False, compare=False)
+    wrong_values: Dict[Coord, Any] = field(
+        default_factory=dict, repr=False, compare=False
+    )
+
+    def failing_nodes(
+        self, value: Any, correct_nodes: AbstractSet[Coord]
+    ) -> List[Coord]:
+        """The base class's answer, read off the masks.
+
+        When ``correct_nodes`` is the run's correct set, which
+        ``correct_mask`` holds, a committed node outside
+        ``wrong_values`` holds ``value`` itself, so it passes unless
+        ``value`` is unequal to itself (a NaN), as in the base class's
+        walk.  Flat order is sorted order, so only the wrong commits
+        are merged in by a sort.  Any other set (told apart by its
+        size, one count) gets the base class's walk.
+        """
+        if len(correct_nodes) != int(self.correct_mask.sum()):
+            return super().failing_nodes(value, correct_nodes)
+        np = require_numpy()
+        failing = self.correct_mask.copy()
+        wrong: List[Coord] = []
+        if not value != value:
+            failing &= ~self.committed_mask
+            wrong = [n for n, got in self.wrong_values.items() if got != value]
+        nodes = self.nodes
+        out = [nodes[i] for i in np.flatnonzero(failing).tolist()]
+        return sorted(out + wrong) if wrong else out
 
 
 def build_processes(

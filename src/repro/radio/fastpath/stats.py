@@ -17,7 +17,9 @@ That one pass builds every counter the reference engine's
 build up hook by hook, plus each observed source's wave-front
 snapshots, into one :class:`KernelStats`.  The runner then populates
 real ``Trace`` / ``RunMetrics`` objects from it, so downstream
-consumers see byte-identical summaries.
+consumers see byte-identical summaries.  The ``RunMetrics`` half
+(receptions, commit rounds, wave-fronts) is the costly one, so it runs
+only when an observer will ingest it (DESIGN decision 19).
 
 Two delivery counts coexist on purpose, mirroring the reference split:
 
@@ -30,7 +32,7 @@ Two delivery counts coexist on purpose, mirroring the reference split:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
 from repro.geometry.coords import Coord
 from repro.radio.fastpath.compat import require_numpy
@@ -69,9 +71,12 @@ class KernelStats:
 
     A kernel sets the fields of its own stop decision (``rounds``, the
     three stop flags, ``committed_mask`` and ``wrong_values``);
-    :func:`fill_stats` sets the rest.  ``commit_round`` maps canonical
-    coordinates to the round their commit was observed (-1 for the
-    source's ``on_start`` commit).
+    :func:`fill_stats` sets the rest: the ``Trace`` counters on every
+    run, the ``RunMetrics`` ones (``obs_deliveries`` and the fields
+    from ``deliveries_by_round`` to ``commits_by_round``) only for an
+    observed run; unobserved, they stay empty.  ``commit_round`` maps
+    canonical coordinates to the round their commit was observed (-1
+    for the source's ``on_start`` commit).
     """
 
     rounds: int = 0
@@ -88,10 +93,10 @@ class KernelStats:
     rx_by_node: Dict[Coord, int] = field(default_factory=dict)
     commit_round: Dict[Coord, int] = field(default_factory=dict)
     commits_by_round: Dict[int, int] = field(default_factory=dict)
-    #: per-flat-index commit flags, aligned with ``Lattice.coords_all``
-    #: (lets the runner build the processes map with one zip instead of
-    #: N set probes); set only for commits to a non-``None`` value
-    committed_mask: Optional[List[bool]] = None
+    #: ``(N,)`` bool commit flags, aligned with ``Lattice.coords_all``
+    #: (the runner builds the processes map with one zip and grades
+    #: from it); set only for commits to a non-``None`` value
+    committed_mask: Any = field(default=None, compare=False)
     #: nodes whose committed value differs from the scenario value
     #: (possible only under Byzantine value faults); the runner patches
     #: these into the processes map so grading sees the wrong commits
@@ -116,7 +121,7 @@ def fill_stats(
     commit_idx,
     commit_rounds,
     crash_rounds,
-    trackers: List[SourceTracker],
+    trackers: Optional[List[SourceTracker]],
 ) -> KernelStats:
     """Fill ``stats``'s counters and the trackers' wave-fronts; return it.
 
@@ -136,23 +141,48 @@ def fill_stats(
         ``(N,)`` int64 crash round per node (a sentinel above every
         round for nodes that never crash); a node is dead during round
         ``x`` iff ``crash_rounds[node] <= x``.
+    trackers:
+        One :class:`SourceTracker` per distinct observer source, or
+        ``None`` when no ``RunMetrics`` observer reads the run: then
+        only the ``Trace`` counters are filled, and the commits are
+        not read.
 
     Every counter is a sum, and every wave-front a cumulative maximum
     snapshotted at round end, so only the round of a message or commit
-    matters, never its place within the round.  Receptions take one
-    ball gather per executed round (:meth:`Lattice.balls_of`) with that
-    round's alive mask, never an ``(N, K)`` block at once.
+    matters, never its place within the round.
     """
     np = require_numpy()
-    n = lattice.num_nodes
     coords = lattice.coords_all
-    rounds = stats.rounds
     senders = np.asarray(senders, dtype=np.int64)
-    num_slots = len(lattice.slot_groups)
-    msg_rounds = np.asarray(times, dtype=np.int64) // num_slots
-    stats.crashes = int((crash_rounds < rounds).sum())
+    msg_rounds = np.asarray(times, dtype=np.int64) // len(lattice.slot_groups)
+    stats.crashes = int((crash_rounds < stats.rounds).sum())
     stats.transmissions = int(senders.size)
     stats.fanout_deliveries = stats.transmissions * lattice.ball_size
+    per_round = np.bincount(msg_rounds)
+    nz = np.flatnonzero(per_round).tolist()
+    stats.tx_by_round = dict(zip(nz, per_round[nz].tolist()))
+    tx = np.bincount(senders, minlength=lattice.num_nodes)
+    nz = np.flatnonzero(tx).tolist()
+    stats.tx_by_node = dict(zip([coords[i] for i in nz], tx[nz].tolist()))
+    if trackers is not None:
+        _fill_observed(
+            stats, lattice, senders, msg_rounds, commit_idx, commit_rounds,
+            crash_rounds, trackers,
+        )
+    return stats
+
+
+def _fill_observed(stats, lattice, senders, msg_rounds, commit_idx,
+                   commit_rounds, crash_rounds, trackers) -> None:
+    """The ``RunMetrics`` half of :func:`fill_stats`.
+
+    Receptions take one ball gather per executed round
+    (:meth:`Lattice.balls_of`) with that round's alive mask, never an
+    ``(N, K)`` block at once.
+    """
+    np = require_numpy()
+    coords = lattice.coords_all
+    rounds = stats.rounds
 
     # commits in round order; the stable sort keeps the kernel's order
     # within a round, so commit_round's insertion order is the kernel's
@@ -173,12 +203,11 @@ def fill_stats(
     commit_at = np.searchsorted(cround, span).tolist()
     commit_far = [0.0] * len(trackers)
     delivery_far = [0.0] * len(trackers)
-    rx = np.zeros(n, dtype=np.int64)
+    rx = np.zeros(lattice.num_nodes, dtype=np.int64)
     for rnd in range(rounds):
         lo, hi = tx_at[rnd + 1], tx_at[rnd + 2]
         delivered = senders[:0]  # no receptions until this round sends
         if hi > lo:
-            stats.tx_by_round[rnd] = hi - lo
             balls = lattice.balls_of(senders[lo:hi])
             delivered = balls[crash_rounds[balls] > rnd]
             if delivered.size:
@@ -197,9 +226,5 @@ def fill_stats(
                 tr.commit_wavefront[rnd] = commit_far[k]
 
     stats.obs_deliveries = sum(stats.deliveries_by_round.values())
-    tx = np.bincount(senders, minlength=n)
-    nz = np.flatnonzero(tx).tolist()
-    stats.tx_by_node = dict(zip([coords[i] for i in nz], tx[nz].tolist()))
     nz = np.flatnonzero(rx).tolist()
     stats.rx_by_node = dict(zip([coords[i] for i in nz], rx[nz].tolist()))
-    return stats

@@ -16,7 +16,16 @@ nothing of them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, FrozenSet, List, Mapping, Optional, Set
+from typing import (
+    AbstractSet,
+    Any,
+    Dict,
+    FrozenSet,
+    List,
+    Mapping,
+    Optional,
+    Set,
+)
 
 from repro.geometry.coords import Coord
 from repro.grid.tdma import TDMASchedule
@@ -82,23 +91,19 @@ class BroadcastOutcome:
 def grade_outcome(
     result: SimulationResult,
     value: Any,
-    correct_nodes: Set[Coord],
+    correct_nodes: AbstractSet[Coord],
 ) -> BroadcastOutcome:
     """Grade a finished simulation against safety and liveness.
 
-    Only the failing nodes are sorted (most correct nodes pass), so
-    ``undecided`` and ``wrong_commits`` come out in node order without
-    a sort over every correct node.
+    The result names its failing correct nodes in node order
+    (:meth:`~repro.radio.engine.SimulationResult.failing_nodes`: a walk
+    of the processes, or a fastpath run's masks), so ``undecided`` and
+    ``wrong_commits`` come out in node order.
     """
     processes = result.processes
-    failed = sorted(
-        node
-        for node in correct_nodes
-        if (got := processes[node].committed_value()) is None or got != value
-    )
     wrong: Dict[Coord, Any] = {}
     undecided: List[Coord] = []
-    for node in failed:
+    for node in result.failing_nodes(value, correct_nodes):
         committed = processes[node].committed_value()
         if committed is None:
             undecided.append(node)

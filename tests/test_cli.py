@@ -38,31 +38,40 @@ class TestParser:
             build_parser().parse_args([command])
 
 
+def _loaded_by_cli_import(module: str) -> bool:
+    """Whether a fresh interpreter that imports ``repro.cli`` has
+    loaded ``module``."""
+    env = dict(os.environ)
+    src_dir = os.path.join(
+        os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+        "src",
+    )
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src_dir, env.get("PYTHONPATH", "")) if p
+    )
+    program = f"import sys, repro.cli\nprint({module!r} in sys.modules)\n"
+    result = subprocess.run(
+        [sys.executable, "-c", program],
+        capture_output=True,
+        text=True,
+        env=env,
+        check=True,
+    )
+    return result.stdout == "True\n"
+
+
 class TestStartup:
     def test_import_leaves_multiprocessing_unloaded(self):
         """Only a sweep on more than one worker needs a pool, so a fresh
         interpreter that imports the CLI has not loaded
         ``multiprocessing``."""
-        env = dict(os.environ)
-        src_dir = os.path.join(
-            os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-            "src",
-        )
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (src_dir, env.get("PYTHONPATH", "")) if p
-        )
-        program = (
-            "import sys, repro.cli\n"
-            "print('multiprocessing' in sys.modules)\n"
-        )
-        result = subprocess.run(
-            [sys.executable, "-c", program],
-            capture_output=True,
-            text=True,
-            env=env,
-            check=True,
-        )
-        assert result.stdout == "False\n"
+        assert not _loaded_by_cli_import("multiprocessing")
+
+    def test_import_leaves_numpy_unloaded(self):
+        """Only the fastpath engine needs numpy, and it is imported when
+        a fastpath scenario first runs: its import costs tens of
+        milliseconds, which every command would pay at start-up."""
+        assert not _loaded_by_cli_import("numpy")
 
 
 class TestCommands:
@@ -146,6 +155,33 @@ class TestCommands:
         for extra in (["--expand-only"], ["--no-cache"]):
             assert main(["runtable", str(table), *extra]) == 2
             assert "'channel'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "scenario_kwargs, named",
+        [
+            ("abc", "base.scenario_kwargs"),
+            ({"torus_side": 7.5}, "'torus_side'"),
+            ({"staggered_max_round": -1}, "'staggered_max_round'"),
+        ],
+        ids=["not-an-object", "fractional-side", "negative-round"],
+    )
+    def test_runtable_refuses_bad_scenario_kwargs_values(
+        self, capsys, tmp_path, scenario_kwargs, named
+    ):
+        """A ``scenario_kwargs`` that is not an object, or an integer
+        keyword with a value the builder cannot take, is a
+        configuration error (status 2) at ``--expand-only``."""
+        import json
+
+        table = tmp_path / "table.json"
+        table.write_text(json.dumps({
+            "base": {
+                "kind": "crash", "r": 1, "t": 1, "protocol": "crash-flood",
+                "placement": "random", "scenario_kwargs": scenario_kwargs,
+            },
+        }))
+        assert main(["runtable", str(table), "--expand-only"]) == 2
+        assert named in capsys.readouterr().err
 
     def test_sweep_has_no_channel_option(self, capsys):
         with pytest.raises(SystemExit) as exc:

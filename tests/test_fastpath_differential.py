@@ -3,7 +3,12 @@
 The fastpath array kernels (:mod:`repro.radio.fastpath`) promise
 *byte-identical* observable output to the reference event engine -- same
 ``metrics_summary`` JSON, same per-node commit map, same trace counters,
-same grading facts.  This suite enforces that contract three ways:
+same grading facts.  Every compared point runs four times: observed by two
+``RunMetrics`` (a per-source and a global view) and plain, with no
+observer -- the path of every sweep row without metrics, on which the
+fastpath skips its ``RunMetrics`` statistics -- on both engines; the
+plain runs must match the observed ones.  This suite enforces that
+contract three ways:
 
 1. a deterministic bulk sweep over 200+ randomized points spanning all
    three kernel protocols, both placements, all three metrics, message
@@ -119,16 +124,11 @@ def _build_byz(point: Dict[str, Any], engine: str):
     return sc
 
 
-def observe(point: Dict[str, Any], engine: str, builder=None) -> Dict[str, Any]:
-    """Everything observable about one run, in comparable form."""
-    sc = (builder or _build)(point, engine)
-    per_source = RunMetrics(source=sc.source)
-    global_view = RunMetrics(source=None)
-    out = sc.run(observers=[per_source, global_view])
-    processes = out.result.processes
+def _run_facts(out) -> Dict[str, Any]:
+    """What a graded run shows with or without an observer."""
+    result = out.result
+    processes = result.processes
     return {
-        "metrics_source": canonical_json(per_source.summary()),
-        "metrics_global": canonical_json(global_view.summary()),
         "committed": {
             str(node): proc.committed_value()
             for node, proc in sorted(processes.items())
@@ -140,26 +140,64 @@ def observe(point: Dict[str, Any], engine: str, builder=None) -> Dict[str, Any]:
         ),
         "grade": {
             "achieved": out.achieved,
-            "rounds": out.result.rounds,
-            "quiescent": out.result.quiescent,
-            "hit_round_limit": out.result.hit_round_limit,
-            "hit_message_limit": out.result.hit_message_limit,
+            "rounds": result.rounds,
+            "quiescent": result.quiescent,
+            "hit_round_limit": result.hit_round_limit,
+            "hit_message_limit": result.hit_message_limit,
         },
-        "trace": out.result.trace.summary(),
+        # the graded lists, in their order: what a sweep row counts
+        "outcome": {
+            "undecided": out.undecided,
+            "wrong_commits": list(out.wrong_commits.items()),
+            "correct_nodes": sorted(out.correct_nodes),
+            "rounds": out.rounds,
+            "messages": out.messages,
+        },
+        "trace": result.trace.summary(),
+        "tx_by_node": result.trace.tx_by_node,
+        "tx_by_round": result.trace.tx_by_round,
     }
+
+
+def observe(point: Dict[str, Any], engine: str, builder=None) -> Dict[str, Any]:
+    """Everything observable about one run, in comparable form."""
+    sc = (builder or _build)(point, engine)
+    per_source = RunMetrics(source=sc.source)
+    global_view = RunMetrics(source=None)
+    out = sc.run(observers=[per_source, global_view])
+    return {
+        "metrics_source": canonical_json(per_source.summary()),
+        "metrics_global": canonical_json(global_view.summary()),
+        **_run_facts(out),
+    }
+
+
+def observe_plain(
+    point: Dict[str, Any], engine: str, builder=None
+) -> Dict[str, Any]:
+    """The same run without an observer: the path of every sweep row
+    without metrics (the fastpath then skips its ``RunMetrics``
+    statistics)."""
+    return _run_facts((builder or _build)(point, engine).run())
 
 
 def assert_engines_agree(
     point: Dict[str, Any], builder=None
 ) -> Dict[str, Any]:
-    """Run ``point`` on both backends and diff every observable."""
+    """Run ``point`` on both backends, observed and plain, and diff
+    every observable: across engines, and plain against observed."""
     ref = observe(point, "reference", builder)
-    fast = observe(point, "fastpath", builder)
-    for key in ref:
-        assert ref[key] == fast[key], (
-            f"engines diverge on {key!r} at point {point!r}\n"
-            f"reference: {ref[key]!r}\nfastpath:  {fast[key]!r}"
-        )
+    runs = {
+        "fastpath": observe(point, "fastpath", builder),
+        "plain reference": observe_plain(point, "reference", builder),
+        "plain fastpath": observe_plain(point, "fastpath", builder),
+    }
+    for name, got in runs.items():
+        for key in got:
+            assert ref[key] == got[key], (
+                f"{name} diverges from reference on {key!r} at point "
+                f"{point!r}\nreference: {ref[key]!r}\n{name}: {got[key]!r}"
+            )
     return ref
 
 

@@ -6,7 +6,11 @@ building blocks directly, so a bug in one of them fails with a local,
 named assertion instead of a whole-run byte diff:
 
 - :func:`~repro.radio.fastpath.stats.fill_stats` -- the one statistics
-  pass every kernel hands its message order to, on hand-built orders;
+  pass every kernel hands its message order to, on hand-built orders,
+  observed and not;
+- the runner's fault masks and grading from masks
+  (:meth:`FastSimulationResult.failing_nodes` against the base class's
+  walk over the processes), a NaN source value included;
 - the lattice memo behind :func:`~repro.radio.fastpath.runner.get_lattice`;
 - the :class:`~repro.radio.fastpath.lattice.Lattice` vectorized TDMA
   construction vs :func:`repro.grid.tdma.make_schedule` -- same slots,
@@ -17,6 +21,8 @@ named assertion instead of a whole-run byte diff:
 """
 
 from __future__ import annotations
+
+from itertools import compress
 
 import pytest
 
@@ -110,10 +116,12 @@ _SLOTS = 9
 _NEVER = 2**62
 
 
-def _fill(messages, commits=(), rounds=1, crash=None, sources=()):
+def _fill(messages, commits=(), rounds=1, crash=None, sources=(),
+          observed=True):
     """Run the pass on ``messages`` -- ``(sender, round, slot)`` triples in
     transmission order -- and ``commits`` -- ``(node, round)`` pairs --
-    on the 6x6 torus; returns the stats, the lattice and the trackers."""
+    on the 6x6 torus; returns the stats, the lattice and the trackers
+    (``None`` for an unobserved run)."""
     import numpy as np
 
     from repro.radio.fastpath.lattice import Lattice
@@ -128,6 +136,8 @@ def _fill(messages, commits=(), rounds=1, crash=None, sources=()):
     for node, rnd in (crash or {}).items():
         crash_rounds[lattice.flat(node)] = rnd
     trackers = [SourceTracker(s, lattice.distance_from(s)) for s in sources]
+    if not observed:
+        trackers = None
     stats = fill_stats(
         KernelStats(rounds=rounds),
         lattice,
@@ -236,6 +246,160 @@ class TestFillStats:
         assert a == b
         assert ta.commit_wavefront == tb.commit_wavefront
         assert ta.delivery_wavefront == tb.delivery_wavefront
+
+    def test_unobserved_run_fills_only_the_trace_counters(self):
+        """Without a ``RunMetrics`` observer the pass fills what the
+        ``Trace`` reads, equal to an observed run's, and leaves every
+        ``RunMetrics`` field empty."""
+        from repro.radio.fastpath.stats import KernelStats
+
+        args = (
+            [((0, 0), 0, 0), ((0, 0), 0, 0), ((1, 1), 0, 4), ((3, 3), 1, 0)],
+            [((0, 0), -1), ((1, 1), 0), ((3, 3), 0)],
+        )
+        seen, _, _ = _fill(*args, rounds=3, crash={(0, 1): 1})
+        plain, _, none = _fill(*args, rounds=3, crash={(0, 1): 1},
+                               observed=False)
+        assert none is None
+        trace_fields = ("rounds", "transmissions", "fanout_deliveries",
+                        "crashes", "tx_by_node", "tx_by_round")
+        for name in trace_fields:
+            assert getattr(plain, name) == getattr(seen, name), name
+        assert plain.tx_by_round == {0: 3, 1: 1}
+        assert plain.crashes == 1
+        empty = KernelStats(rounds=3)
+        for name in ("obs_deliveries", "deliveries_by_round", "rx_by_node",
+                     "commit_round", "commits_by_round"):
+            assert getattr(plain, name) == getattr(empty, name), name
+            assert getattr(seen, name) != getattr(empty, name), name
+
+
+# -- fault masks and grading from masks -----------------------------------
+
+
+def _masks(**scenario):
+    from repro.experiments.scenarios import BroadcastScenario
+    from repro.radio.fastpath.runner import _fault_masks, get_lattice
+
+    sc = BroadcastScenario(
+        topology=Torus(7, 5, 1), protocol="cpa", t=1, **scenario
+    )
+    return _fault_masks(get_lattice(sc.topology), sc)
+
+
+class TestFaultMasks:
+    def test_no_faults(self):
+        correct, crash_rounds = _masks()
+        assert correct.all() and correct.size == 35
+        assert (crash_rounds == _NEVER).all()
+
+    def test_byzantine_and_crashing_nodes(self):
+        """Both kinds leave the correct mask; only crashing nodes get a
+        crash round (the scenario reduces (9, -1) to (2, 4))."""
+        from repro.faults.byzantine import make_byzantine
+
+        correct, crash_rounds = _masks(
+            byzantine_processes={
+                (6, 4): make_byzantine("silent", 1, (0, 0)),
+                (9, -1): make_byzantine("silent", 1, (0, 0)),
+            },
+            crash_round={(1, 1): 0, (3, 2): 4},
+        )
+        flat = {(6, 4): 34, (2, 4): 14, (1, 1): 6, (3, 2): 17}
+        assert sorted((~correct).nonzero()[0].tolist()) == sorted(
+            flat.values()
+        )
+        assert {
+            i: r for i, r in enumerate(crash_rounds.tolist()) if r != _NEVER
+        } == {6: 0, 17: 4}
+
+
+class TestGradingFromMasks:
+    """``FastSimulationResult.failing_nodes`` answers what the base
+    class's walk over the processes answers."""
+
+    def _both(self, result, value, correct):
+        from repro.radio.engine import SimulationResult
+
+        walked = SimulationResult.failing_nodes(result, value, correct)
+        assert result.failing_nodes(value, correct) == walked
+        return walked
+
+    def _result(self, value, wrong=None):
+        import numpy as np
+
+        from repro.radio.fastpath.result import (
+            FastSimulationResult,
+            build_processes,
+        )
+        from repro.radio.trace import Trace
+
+        nodes = [(x, y) for x in range(3) for y in range(3)]
+        correct = np.array([1, 1, 1, 0, 1, 1, 1, 1, 0], dtype=bool)
+        committed = np.array([1, 0, 1, 0, 1, 1, 1, 0, 0], dtype=bool)
+        wrong = wrong or {}
+        result = FastSimulationResult(
+            rounds=1, quiescent=True, hit_round_limit=False,
+            hit_message_limit=False, trace=Trace(),
+            processes=build_processes(nodes, committed.tolist(), value, wrong),
+            nodes=nodes, correct_mask=correct, committed_mask=committed,
+            wrong_values=wrong,
+        )
+        return result, set(compress(nodes, correct.tolist()))
+
+    def test_undecided_nodes_fail(self):
+        result, correct = self._result(1)
+        assert self._both(result, 1, correct) == [(0, 1), (2, 1)]
+
+    def test_wrong_values_merge_in_node_order(self):
+        result, correct = self._result(1, wrong={(2, 0): 7, (0, 2): 0})
+        assert self._both(result, 1, correct) == [
+            (0, 1), (0, 2), (2, 0), (2, 1)
+        ]
+
+    def test_a_value_equal_to_the_source_value_passes(self):
+        """The kernels bucket values by dict equality; ``True == 1``."""
+        result, correct = self._result(1, wrong={(2, 0): True})
+        assert self._both(result, 1, correct) == [(0, 1), (2, 1)]
+
+    def test_nan_source_value_fails_every_correct_node(self):
+        nan = float("nan")
+        result, correct = self._result(nan)
+        assert self._both(result, nan, correct) == sorted(correct)
+
+    def test_another_correct_set_gets_the_walk(self):
+        """A set other than the mask's grades as the base class would."""
+        result, correct = self._result(1, wrong={(2, 0): 7})
+        fewer = correct - {(0, 1)}
+        assert self._both(result, 1, fewer) == [(2, 0), (2, 1)]
+        more = correct | {(1, 0)}
+        assert self._both(result, 1, more) == [(0, 1), (1, 0), (2, 0), (2, 1)]
+
+
+@pytest.mark.parametrize("protocol", ["crash-flood", "cpa", "bv-two-hop"])
+def test_nan_source_value_grades_the_same_on_both_engines(protocol):
+    """A source value unequal to itself, passed as
+    ``scenario_kwargs.value``: every committed correct node holds a
+    value ``!=`` the source's, so it counts as a wrong commit, with and
+    without metrics, on both engines."""
+    from repro.exec import ScenarioSpec, run_trial
+
+    for metrics in (False, True):
+        rows = [
+            run_trial(
+                ScenarioSpec(
+                    kind="crash", r=1, t=1, protocol=protocol,
+                    placement="random", engine=engine,
+                    collect_metrics=metrics,
+                    scenario_kwargs=(("value", float("nan")),),
+                ),
+                11,
+            )
+            for engine in ("reference", "fastpath")
+        ]
+        assert rows[0] == rows[1]
+        assert not rows[0]["safe"] and not rows[0]["achieved"]
+    assert rows[0]["wrong_commits"] > 0
 
 
 # -- the lattice memo -----------------------------------------------------

@@ -23,6 +23,11 @@ class TestBasics:
         with pytest.raises(ConfigurationError):
             BoundedGrid(0, 5, 1)
 
+    @pytest.mark.parametrize("side", [7.5, "big", True])
+    def test_non_int_side_refused(self, side):
+        with pytest.raises(ConfigurationError, match="must be integers"):
+            BoundedGrid.square(side, 1)
+
     def test_no_wrap(self):
         g = BoundedGrid(5, 5, 1)
         assert g.canonical((7, -1)) == (7, -1)  # identity, no wrapping

@@ -44,6 +44,14 @@ class TestTorusConstruction:
             Torus(4, 10, 2)
         Torus(5, 5, 2)  # 2r+1 exactly: allowed
 
+    @pytest.mark.parametrize("side", [7.5, "big", True])
+    def test_non_int_side_refused(self, side):
+        """``int()`` would truncate 7.5 to 7, and a bool is no side."""
+        with pytest.raises(ConfigurationError, match="must be integers"):
+            Torus.square(side, 1)
+        with pytest.raises(ConfigurationError, match="must be integers"):
+            Torus(7, side, 1)
+
     def test_square_and_recommended(self):
         t = Torus.square(9, 2)
         assert t.width == t.height == 9

@@ -390,3 +390,57 @@ class TestScenarioKwargs:
         ).expand()
         row = run_trial(unit.spec, 5)
         assert row["safe"] and row["achieved"]
+
+    @pytest.mark.parametrize(
+        "kind, protocol, scenario_kwargs",
+        [
+            ("crash", "crash-flood", {"torus_side": 7.5}),
+            ("crash", "crash-flood", {"torus_side": "big"}),
+            ("crash", "crash-flood", {"torus_side": True}),
+            ("crash", "crash-flood", {"staggered_max_round": -1}),
+            ("crash", "crash-flood", {"staggered_max_round": "x"}),
+            ("crash", "crash-flood", {"staggered_max_round": 2.5}),
+            ("byzantine", "bv-indirect", {"max_relays": True}),
+        ],
+        ids=[
+            "side-fraction", "side-string", "side-bool", "round-negative",
+            "round-string", "round-fraction", "protocol-keyword-bool",
+        ],
+    )
+    def test_bad_int_value_fails_at_expand(
+        self, kind, protocol, scenario_kwargs
+    ):
+        """A keyword annotated ``int`` takes an ``int`` of at least 0:
+        a fraction would be truncated, and a string, a bool or a
+        negative round would fail (or run) mid-sweep."""
+        ((key, value),) = scenario_kwargs.items()
+        table = _kwargs_table(kind, protocol, scenario_kwargs)
+        with pytest.raises(ConfigurationError, match=f"'{key}'") as info:
+            table.expand()
+        assert repr(value) in str(info.value)
+
+    def test_none_passes_an_optional_int(self):
+        table = _kwargs_table(
+            "crash", "crash-flood", {"staggered_max_round": None}
+        )
+        assert len(table.expand()) == 2
+
+    def test_scenario_kwargs_not_an_object_fails_by_name(self):
+        with pytest.raises(ConfigurationError, match="base.scenario_kwargs"):
+            _kwargs_table("crash", "crash-flood", "abc")
+
+    def test_side100_table_expands_and_runs(self):
+        """The pipeline benchmark's side-100 crash table, one trial of
+        its largest budget on the fastpath."""
+        pytest.importorskip("numpy")
+        table = RunTable.from_dict({
+            "base": {
+                "kind": "crash", "r": 2, "protocol": "crash-flood",
+                "placement": "random", "engine": "fastpath",
+                "scenario_kwargs": {"torus_side": 100},
+            },
+            "factors": {"t": [11]},
+        })
+        (unit,) = table.expand()
+        row = run_trial(unit.spec, 4242)
+        assert row["achieved"] and row["faults"] > 1000
