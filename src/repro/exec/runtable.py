@@ -41,7 +41,7 @@ import itertools
 import json
 from dataclasses import dataclass
 from dataclasses import fields as dataclass_fields
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.errors import ConfigurationError
 from repro.exec.executor import ExecStats, SweepExecutor
@@ -208,10 +208,11 @@ class RunTable:
         ``strategy`` levels under ``kind="crash"``, where the builder
         ignores the strategy -- raise :class:`ConfigurationError` naming
         both cells instead of silently double-running one scenario).  A
-        ``scenario_kwargs`` key the cell's scenario builder or protocol
-        cannot take is refused here too, by name
-        (:func:`~repro.exec.specs.check_scenario_kwargs`), not left to
-        fail mid-run.
+        ``scenario_kwargs`` key or value the cell's scenario builder or
+        protocol cannot take is refused here too, by name
+        (:func:`~repro.exec.specs.check_scenario_kwargs`, run once per
+        distinct set of the cell fields it reads), not left to fail
+        mid-run.
         """
         base_kwargs: Dict[str, Any] = {}
         for k, v in self.base:
@@ -223,6 +224,7 @@ class RunTable:
         level_lists = [levels for _, levels in self.factors]
         units: List[RunUnit] = []
         seen_keys: Dict[str, str] = {}
+        checked: Set[str] = set()
         for combo in itertools.product(*level_lists):
             levels = tuple(zip(names, combo))
             cell = ",".join(f"{k}={v}" for k, v in levels)
@@ -231,7 +233,11 @@ class RunTable:
             kwargs.update(levels)
             try:
                 spec = ScenarioSpec(trials=self.repetitions, **kwargs)
-                check_scenario_kwargs(spec)
+                reads = repr((spec.kind, spec.protocol, spec.t, spec.metric,
+                              spec.scenario_kwargs))
+                if reads not in checked:
+                    check_scenario_kwargs(spec)
+                    checked.add(reads)
             except (ConfigurationError, TypeError) as exc:
                 raise ConfigurationError(
                     f"run-table cell {run_id!r} does not describe a "

@@ -25,6 +25,7 @@ from typing import (
     Dict,
     Mapping,
     Optional,
+    Set,
     Tuple,
     get_type_hints,
 )
@@ -285,7 +286,7 @@ def _keywords(fn: Callable[..., Any]) -> Dict[str, Any]:
 
 def check_scenario_kwargs(spec: ScenarioSpec) -> None:
     """Refuse ``scenario_kwargs`` keys the scenario cannot take, and
-    integer keywords with values it cannot take.
+    values it cannot take.
 
     A key may name a keyword of the spec's scenario builder that
     :func:`build_scenario` does not set from the spec's own fields
@@ -295,10 +296,14 @@ def check_scenario_kwargs(spec: ScenarioSpec) -> None:
     ``max_relays`` for ``bv-indirect``).  A keyword annotated ``int``
     (or ``Optional[int]``) counts something -- a side, a round, relays
     -- so its value must be an ``int`` of at least 0, not a ``bool``
-    (or ``None``).  Names and annotations are read from the
-    signatures, so they follow the code.  :class:`ScenarioSpec` itself
-    stays permissive; run tables, where outside input names builder
-    keywords, call this per cell.
+    (or ``None``).  A keyword annotated ``bool`` is a switch, so its
+    value must be a ``bool``: the string ``"no"`` would switch it on.
+    Names and annotations are read from the signatures, so they follow
+    the code.  Protocol keywords are then handed to the protocol
+    constructor, so its own range checks (``max_relays`` in 1..3)
+    refuse the cell too.  :class:`ScenarioSpec` itself stays
+    permissive; run tables, where outside input names builder keywords,
+    call this per cell.
 
     Raises :class:`ConfigurationError` naming every unknown key, or
     the first bad value and its key.
@@ -306,10 +311,11 @@ def check_scenario_kwargs(spec: ScenarioSpec) -> None:
     if not spec.scenario_kwargs:
         return
     from repro.protocols.base import BroadcastProtocolNode
-    from repro.protocols.registry import protocol_class
+    from repro.protocols.registry import make_protocol, protocol_class
 
     builder, fixed = _builder_call(spec, 0)
     allowed: Dict[str, Any] = {}
+    protocol_keys: Set[str] = set()
     if spec.kind == "byzantine":
         base = _keywords(BroadcastProtocolNode)
         for name, annotation in _keywords(
@@ -317,9 +323,11 @@ def check_scenario_kwargs(spec: ScenarioSpec) -> None:
         ).items():
             if name not in base:
                 allowed[name] = annotation
+                protocol_keys.add(name)
     for name, annotation in _keywords(builder).items():
         if name not in fixed:
             allowed[name] = annotation
+            protocol_keys.discard(name)
     unknown = sorted(set(dict(spec.scenario_kwargs)) - set(allowed))
     if unknown:
         raise ConfigurationError(
@@ -337,6 +345,29 @@ def check_scenario_kwargs(spec: ScenarioSpec) -> None:
                 f"scenario_kwargs {name!r} must be an int >= 0, got "
                 f"{value!r}"
             )
+        if annotation is bool and not isinstance(value, bool):
+            raise ConfigurationError(
+                f"scenario_kwargs {name!r} must be a bool, got {value!r}"
+            )
+    protocol_kwargs = {
+        name: value
+        for name, value in spec.scenario_kwargs
+        if name in protocol_keys
+    }
+    if protocol_kwargs:
+        try:
+            make_protocol(
+                spec.protocol,
+                spec.t,
+                (0, 0),
+                metric=spec.metric,
+                **protocol_kwargs,
+            )
+        except ConfigurationError as exc:
+            raise ConfigurationError(
+                f"scenario_kwargs {protocol_kwargs} refused by protocol "
+                f"{spec.protocol!r}: {exc}"
+            ) from exc
 
 
 def run_trial(spec: ScenarioSpec, seed: int) -> Dict[str, Any]:

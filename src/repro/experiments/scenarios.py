@@ -41,7 +41,7 @@ from repro.grid.torus import Torus
 from repro.protocols.registry import correct_process_map
 from repro.radio.engines import validate_engine
 from repro.radio.node import NodeProcess
-from repro.radio.run import BroadcastOutcome, run_broadcast
+from repro.radio.run import BroadcastOutcome, _run_graded
 
 
 def recommended_torus(r: int, metric="linf", slack: int = 0) -> Torus:
@@ -158,7 +158,10 @@ class BroadcastScenario:
                 **self.protocol_kwargs,
             )
         )
-        return run_broadcast(
+        # __post_init__ canonicalized the fault maps, so ``correct`` is
+        # canonical and disjoint from the crash map: run_broadcast's
+        # checks hold by construction
+        return _run_graded(
             self.topology,
             processes,
             self.value,

@@ -19,8 +19,9 @@ State comes in two halves.  The wiring (node order, each node's receivers
 and the TDMA slots, all as flat node indices) depends only on the
 topology and schedule; one is shared per torus shape under the default
 schedule and built per engine otherwise.  Per-trial state (processes,
-contexts, the dead mask) lives in lists addressed by those indices, so a
-delivery is a list lookup rather than a coordinate hash.
+contexts, the dead mask, the world's dead-or-halted ``deaf`` mask) lives
+in lists addressed by those indices, so a delivery is a list lookup
+rather than a coordinate hash.
 
 Crash-stop faults live here: a node with ``crash_round[v] = k`` executes
 correctly during rounds ``0 .. k-1`` and is inert from round ``k`` on (it
@@ -334,7 +335,8 @@ class Engine:
             sorted((rnd, i) for i, rnd in crashes.items())
         )
         #: ``_dead[i]`` once node ``i`` has crashed by the current round
-        #: (``_is_crashed`` at it); ``_any_dead`` once any has
+        #: (``_is_crashed`` at it); ``_any_dead`` once any has.  A crash
+        #: also marks the world's ``deaf`` mask, which a halt marks too.
         self._dead = bytearray(len(nodes))
         self._any_dead = False
         self.max_rounds = max_rounds
@@ -357,17 +359,28 @@ class Engine:
             self.channel.make_rng() if self.channel.loss_rate > 0 else None
         )
         #: what the contexts reach of the engine (round counter, radius,
-        #: torus wrap, channel, jams); no context points back at us
-        self._world = World(topology, self.channel)
+        #: torus wrap, channel, jams, the deaf mask); no context points
+        #: back at us
+        self._world = World(topology, self.channel, len(nodes))
         self._jammers_this_round: Set[Coord] = self._world.jammers
         self.trace = Trace()
         self._seq = 0
+        self._copies = range(self.channel.tx_copies)
         self._contexts: List[Context] = [
-            Context(node, self._world) for node in nodes
+            Context(node, self._world, i) for i, node in enumerate(nodes)
         ]
         self._started = False
         self._observers: Tuple["EngineObserver", ...] = tuple(observers or ())
         self._profiler = profiler
+        #: no observer, profiler, jamming, loss or buffering: a plain run,
+        #: whose ``_transmit`` delivers on the ``deaf`` mask alone
+        self._plain = not (
+            self._observers
+            or profiler is not None
+            or self._loss_rng is not None
+            or self.channel.allow_jamming
+            or delivery == "end-of-round"
+        )
         #: nodes whose commit has already been reported to observers
         self._decided: Set[Coord] = set()
         #: nodes whose crash has already been announced (a node dead from
@@ -408,10 +421,12 @@ class Engine:
         return rnd is not None and at_round >= rnd
 
     def _mark_crashes(self, round_: int) -> None:
-        """Mark in ``_dead`` every node crashed by ``round_``."""
+        """Mark in ``_dead`` and ``deaf`` every node crashed by ``round_``."""
         crashes = self._crash_schedule
+        deaf = self._world.deaf
         while crashes and crashes[0][0] <= round_:
-            self._dead[crashes.popleft()[1]] = 1
+            i = crashes.popleft()[1]
+            self._dead[i] = deaf[i] = 1
             self._any_dead = True
 
     def _announce_crash(self, node: Coord, round_: int) -> None:
@@ -470,43 +485,52 @@ class Engine:
     def _transmit(self, node: int, slot: int) -> bool:
         """Drain node ``node``'s (an index) outbox in its slot.  Returns
         False when the message budget tripped; every on-air copy counts
-        against it."""
-        nodes = self._wiring.nodes
-        receivers = self._wiring.receivers[node]
+        against it.
+
+        A plain run hands each copy to every receiver the ``deaf`` mask
+        does not mark.  Otherwise the copy takes the general branch:
+        observers, the dead-jammed-lossy receiver filter, end-of-round
+        buffering and the profiler.  Observers hear of a delivery to
+        every live receiver, halted or not."""
         contexts = self._contexts
         outbox = contexts[node]._outbox
+        receivers = self._wiring.receivers[node]
         processes = self._procs
-        observers = self._observers
-        # observers see coordinates; the channel itself runs on indices
-        fanout = tuple(map(nodes.__getitem__, receivers)) if observers else ()
-        me = nodes[node]
         trace = self.trace
         limit = self.max_messages
         round_ = self._world.round
-        dead = self._dead
-        any_dead = self._any_dead
-        jammers = self._jammers_this_round
-        is_jammed = self._is_jammed
-        loss_rng = self._loss_rng
-        loss_rate = self.channel.loss_rate
-        copies = self.channel.tx_copies
-        buffered = self.delivery == "end-of-round"
-        prof = self._profiler
+        deaf = self._world.deaf
+        me = self._wiring.nodes[node]
+        plain = self._plain
+        if not plain:  # what only the general branch reads
+            nodes = self._wiring.nodes
+            observers = self._observers
+            # observers see coordinates; the channel itself runs on indices
+            fanout = (
+                tuple(map(nodes.__getitem__, receivers)) if observers else ()
+            )
+            dead = self._dead
+            any_dead = self._any_dead
+            jammers = self._jammers_this_round
+            is_jammed = self._is_jammed
+            loss_rng = self._loss_rng
+            loss_rate = self.channel.loss_rate
+            buffered = self.delivery == "end-of-round"
+            prof = self._profiler
         while outbox:
             payload, claimed = outbox.popleft()
             sender = me if claimed is None else claimed
-            for _copy in range(copies):
+            for _copy in self._copies:
                 if limit is not None and trace.transmissions >= limit:
                     return False
-                env = Envelope(
-                    sender=sender,
-                    payload=payload,
-                    seq=self._seq,
-                    round=round_,
-                    slot=slot,
-                )
+                env = Envelope(sender, payload, self._seq, round_, slot)
                 self._seq += 1
                 trace.on_transmission(env, len(receivers))
+                if plain:
+                    for nb in receivers:
+                        if not deaf[nb]:
+                            processes[nb].on_receive(contexts[nb], env)
+                    continue
                 for obs in observers:
                     obs.on_transmission(env, fanout)
                 if jammers or loss_rng is not None:
@@ -532,19 +556,11 @@ class Engine:
                     )
                     continue
                 t0 = prof.begin() if prof is not None else 0.0
-                if observers:
-                    for nb in survivors:
-                        receiver = nodes[nb]
-                        for obs in observers:
-                            obs.on_delivery(receiver, env)
-                        nb_ctx = contexts[nb]
-                        if not nb_ctx.halted:
-                            processes[nb].on_receive(nb_ctx, env)
-                else:
-                    for nb in survivors:
-                        nb_ctx = contexts[nb]
-                        if not nb_ctx.halted:
-                            processes[nb].on_receive(nb_ctx, env)
+                for nb in survivors:
+                    for obs in observers:
+                        obs.on_delivery(nodes[nb], env)
+                    if not deaf[nb]:
+                        processes[nb].on_receive(contexts[nb], env)
                 if prof is not None:
                     prof.end("deliver", t0)
         return True

@@ -34,18 +34,23 @@ class World:
     """The engine state a node's context may read or touch.
 
     One per engine, shared by all of its contexts: the round counter, the
-    topology and its torus wrap, the radius, the channel model and the
-    jam bookkeeping.  It points at neither the engine nor the contexts,
-    so a finished engine is freed by reference counting alone -- no
-    Engine <-> Context cycle is left for the cyclic collector.
+    topology and its torus wrap, the radius, the channel model, the jam
+    bookkeeping and the ``deaf`` mask.  It points at neither the engine
+    nor the contexts, so a finished engine is freed by reference
+    counting alone -- no Engine <-> Context cycle is left for the cyclic
+    collector.
     """
 
     __slots__ = (
-        "round", "topology", "r", "wrap", "channel", "jammers", "jam_counts"
+        "round", "topology", "r", "wrap", "channel", "jammers", "jam_counts",
+        "deaf",
     )
 
     def __init__(
-        self, topology: "Topology", channel: "ChannelImperfections"
+        self,
+        topology: "Topology",
+        channel: "ChannelImperfections",
+        size: int,
     ) -> None:
         #: current round (TDMA frame) index; -1 before round 0
         self.round = -1
@@ -62,6 +67,9 @@ class World:
         self.jammers: Set[Coord] = set()
         #: rounds jammed so far, per node
         self.jam_counts: Dict[Coord, int] = {}
+        #: ``deaf[i]`` once node ``i`` (the engine's flat node index) has
+        #: crashed or halted: the engine delivers nothing more to it
+        self.deaf = bytearray(size)
 
     def register_jam(self, node: Coord) -> bool:
         """Activate ``node``'s jammer for the current round (within the
@@ -84,20 +92,23 @@ class Context:
     time (round/slot), the radio parameters, and a ``broadcast`` primitive.
     """
 
-    __slots__ = ("node", "_world", "_outbox", "halted")
+    __slots__ = ("node", "_world", "_index", "_outbox", "halted")
 
-    def __init__(self, node: Coord, world: World) -> None:
+    def __init__(self, node: Coord, world: World, index: int) -> None:
         self.node = node
         self._world = world
+        #: this node's flat index in the engine, where ``halt`` marks it
+        #: in ``world.deaf``
+        self._index = index
         #: queued (payload, claimed_sender) pairs; ``claimed_sender`` is
         #: ``None`` for honest broadcasts and the forged coordinate for
         #: :meth:`broadcast_as` transmissions.  A deque: the engine drains
         #: it FIFO from the left every slot, and ``popleft`` keeps that
         #: O(1) where a list's ``pop(0)`` made chatty protocols O(n^2).
         self._outbox: Deque[Tuple[Any, Optional[Coord]]] = deque()
-        #: set True by a process that has terminated its local execution;
-        #: the engine stops delivering to it (pure optimization -- a halted
-        #: process ignores input by definition).
+        #: set True by :meth:`halt` only (a crashed node that never halted
+        #: reads False); the engine stops delivering to a halted node (pure
+        #: optimization -- a halted process ignores input by definition).
         self.halted: bool = False
 
     @property
@@ -203,9 +214,10 @@ class Context:
         Already-queued payloads are still transmitted (the node finishes
         its sends, then goes quiet) -- this matches the paper's protocols,
         which "re-broadcast once ... and then may terminate local
-        execution".
+        execution".  Deliveries stop from the engine's next one on.
         """
         self.halted = True
+        self._world.deaf[self._index] = 1
 
 
 class NodeProcess:

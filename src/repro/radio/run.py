@@ -149,9 +149,11 @@ def run_broadcast(
             raise ValueError(
                 f"node {node} is listed both correct and crashing"
             )
-    engine = Engine(
+    return _run_graded(
         topology,
         processes,
+        value,
+        canon_correct,
         schedule=schedule,
         crash_round=crash_round,
         max_rounds=max_rounds,
@@ -161,5 +163,18 @@ def run_broadcast(
         observers=observers,
         profiler=profiler,
     )
-    result = engine.run()
-    return grade_outcome(result, value, canon_correct)
+
+
+def _run_graded(
+    topology: Topology,
+    processes: Mapping[Coord, NodeProcess],
+    value: Any,
+    correct_nodes: AbstractSet[Coord],
+    **engine_kwargs: Any,
+) -> BroadcastOutcome:
+    """:func:`run_broadcast` after its checks: ``correct_nodes`` must be
+    canonical and disjoint from the crash map.  A
+    :class:`~repro.experiments.scenarios.BroadcastScenario`, which
+    canonicalizes its fault maps once, calls it directly."""
+    result = Engine(topology, processes, **engine_kwargs).run()
+    return grade_outcome(result, value, correct_nodes)

@@ -183,6 +183,36 @@ class TestCommands:
         assert main(["runtable", str(table), "--expand-only"]) == 2
         assert named in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "scenario_kwargs, named",
+        [
+            ({"locality_filter": "no"}, "'locality_filter' must be a bool"),
+            ({"max_relays": 4}, "max_relays must be in 1..3, got 4"),
+            ({"max_relays": 0}, "max_relays must be in 1..3, got 0"),
+        ],
+        ids=["string-switch", "too-many-relays", "no-relays"],
+    )
+    def test_runtable_refuses_bad_protocol_keywords(
+        self, capsys, tmp_path, scenario_kwargs, named
+    ):
+        """A protocol keyword's value is checked at ``--expand-only``
+        (status 2): a ``bool`` keyword takes only a ``bool``, and the
+        protocol constructor's range check runs before any cell."""
+        import json
+
+        table = tmp_path / "table.json"
+        table.write_text(json.dumps({
+            "base": {
+                "kind": "byzantine", "r": 1, "t": 1,
+                "protocol": "bv-indirect", "strategy": "liar",
+                "placement": "random", "scenario_kwargs": scenario_kwargs,
+            },
+        }))
+        assert main(["runtable", str(table), "--expand-only"]) == 2
+        err = capsys.readouterr().err
+        assert named in err
+        assert repr(next(iter(scenario_kwargs.values()))) in err
+
     def test_sweep_has_no_channel_option(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main([

@@ -306,6 +306,46 @@ class TestLossAndRetransmission:
             1920,
         )
 
+    def test_lossy_run_with_dead_receivers(self):
+        """Crash-flood on a lossy channel, two copies per payload, with
+        dead receivers among halted ones: the loss RNG is drawn for
+        every live, unjammed receiver, halted or not, so an observed and
+        an unobserved run draw alike.  Pinned before the engine kept
+        one dead-or-halted mask."""
+        torus = Torus.square(7, 1)
+        crash_round = {(1, 4): 0, (2, 5): 1, (5, 5): 1, (4, 1): 1}
+
+        def run(observers=()):
+            return Engine(
+                torus,
+                correct_process_map(
+                    torus, "crash-flood", 0, (0, 0), 1, set(torus.nodes())
+                ),
+                crash_round=crash_round,
+                channel=ChannelImperfections(
+                    loss_rate=0.3, tx_copies=2, seed=9
+                ),
+                observers=observers,
+            ).run()
+
+        recorder = JsonlRecorder(record_deliveries=True)
+        observed = run((recorder,))
+        plain = run()
+        assert jsonl_pin(recorder) == (
+            "5d3392efe07f64aae12b05c8053ee3cde416ab794581eae3e9b38b03567ed6d2",
+            694,
+        )
+        for res in (plain, observed):
+            assert res.trace.summary() == {
+                "rounds": 2,
+                "transmissions": 98,
+                "deliveries": 784,
+                "transmitting_nodes": 48,
+                "crashes": 4,
+            }
+        assert plain.committed() == observed.committed()
+        assert list(plain.trace.tx_by_node) == list(observed.trace.tx_by_node)
+
     def test_tx_copies_multiply_transmissions(self):
         t = Torus.square(5, 1)
         eng = Engine(

@@ -16,7 +16,7 @@ from repro.errors import ConfigurationError
 from repro.grid.factory import make_topology
 from repro.grid.tdma import TDMASchedule, make_schedule, sequential_schedule
 from repro.grid.torus import Torus
-from repro.obs import JsonlRecorder
+from repro.obs import JsonlRecorder, RunMetrics
 from repro.protocols.registry import correct_process_map
 from repro.radio import engine as engine_module
 from repro.radio.channel import ChannelImperfections
@@ -58,6 +58,17 @@ def recorded_flood(topology=None, rekey=None, **engine_kwargs):
     Engine(topology, processes, observers=(recorder,), **engine_kwargs).run()
     text = recorder.dumps()
     return hashlib.sha256(text.encode("utf-8")).hexdigest(), len(recorder.events)
+
+
+def outcome(result):
+    """What a run's delivery order decides: the trace counters, the
+    order in which nodes first transmitted, and each node's commit
+    round."""
+    return (
+        result.trace.summary(),
+        list(result.trace.tx_by_node),
+        {node: proc.commit_round for node, proc in result.processes.items()},
+    )
 
 
 class TestDelivery:
@@ -209,6 +220,75 @@ class TestCrashSemantics:
         # queueing. Use round 0 crash:
         Engine(t, procs, crash_round={(4, 4): 0}).run()
         assert log == []
+
+
+class TestDeadAndHaltedReceivers:
+    """Crash-flood nodes halt once they relay, and some nodes die while
+    the flood is under way, so most receivers are dead or halted.  The
+    pins were computed before the engine kept one dead-or-halted mask,
+    and are unchanged by it."""
+
+    TORUS = Torus.square(9, 1)
+    #: dead from the start, or crashing in rounds 1 to 3 of a 4-round
+    #: flood; (4, 4) dies undecided, (8, 1) after it halted
+    CRASHES = {
+        (2, 2): 0, (4, 4): 1, (8, 1): 1, (6, 6): 2, (5, 2): 2, (1, 7): 3,
+    }
+
+    def flood(self, observers=(), **engine_kwargs):
+        processes = correct_process_map(
+            self.TORUS, "crash-flood", 0, (0, 0), 1, set(self.TORUS.nodes())
+        )
+        engine = Engine(
+            self.TORUS,
+            processes,
+            crash_round=self.CRASHES,
+            observers=observers,
+            **engine_kwargs,
+        )
+        return engine, engine.run()
+
+    def test_mid_run_crashes_golden_jsonl(self):
+        """Immediate delivery; the staggered-crash pin above buffers
+        deliveries to the end of the round."""
+        assert recorded_flood(self.TORUS, crash_round=self.CRASHES) == (
+            "f554e63c6421c137cfaaac44e8cfc3b08cd0ca2503ad525a01d0950820c93035",
+            782,
+        )
+
+    def test_message_limit_with_dead_receivers_golden_jsonl(self):
+        assert recorded_flood(
+            self.TORUS, crash_round=self.CRASHES, max_messages=30
+        ) == (
+            "6beea6eca21c894fa8fb8bfb979d83359a072a09f2c95997a683f118bfdfce93",
+            327,
+        )
+        _, res = self.flood(max_messages=30)
+        assert res.hit_message_limit and not res.quiescent
+        assert res.trace.transmissions == 30
+        assert res.trace.crashes == 3
+
+    @pytest.mark.parametrize("max_messages", [None, 30])
+    def test_unobserved_run_matches_observed_run(self, max_messages):
+        """An observer-free run takes the engine's plain delivery path;
+        a recorded run takes the general one.  Both decide the same."""
+        _, plain = self.flood(max_messages=max_messages)
+        recorder = JsonlRecorder(record_deliveries=True)
+        _, observed = self.flood((recorder,), max_messages=max_messages)
+        assert outcome(plain) == outcome(observed)
+
+    def test_dead_node_reads_halted_only_if_it_halted(self):
+        """``Context.halted`` is set by ``halt()`` alone: a crash does
+        not set it."""
+        engine, res = self.flood()
+        halted = {
+            node: engine.context_of(node).halted for node in self.CRASHES
+        }
+        assert halted == {
+            (2, 2): False, (4, 4): False, (8, 1): True,
+            (6, 6): True, (5, 2): True, (1, 7): True,
+        }
+        assert res.processes[(4, 4)].commit_round is None
 
 
 class TestLimits:
@@ -397,6 +477,37 @@ class TestConfiguration:
         procs = {(1, 1): Broadcaster(["a", "b"]), (1, 2): OneShot()}
         Engine(t, procs).run()
         assert log == ["a"]
+
+    def test_halted_node_ignores_a_later_sender_in_the_same_round(self):
+        """A halt takes effect from the next delivery on, whoever sends
+        it: (1, 2) halts on (1, 1)'s message in slot 6 and does not hear
+        (1, 3)'s in slot 8 of the same round.  Observers still see both
+        deliveries, since a halted node is a live receiver."""
+        t = Torus.square(5, 1)
+        slots = make_schedule(t).slots
+        assert slots[6] == ((1, 1),) and slots[8] == ((1, 3),)
+
+        class OneShot(NodeProcess):
+            def __init__(self, log):
+                self.log = log
+
+            def on_receive(self, ctx, env):
+                self.log.append(env.payload)
+                ctx.halt()
+
+        metrics = RunMetrics(source=None)
+        for observers in ((), (metrics,)):
+            log = []
+            procs = {
+                (1, 1): Broadcaster(["a"]),
+                (1, 3): Broadcaster(["b"]),
+                (1, 2): OneShot(log),
+            }
+            res = Engine(t, procs, observers=observers).run()
+            assert res.trace.transmissions == 2
+            assert res.trace.tx_by_round == {0: 2}
+            assert log == ["a"]
+        assert metrics.rx_by_node[(1, 2)] == 2
 
     def test_halt_still_flushes_outbox(self):
         t = Torus.square(5, 1)

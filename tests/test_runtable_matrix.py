@@ -419,6 +419,73 @@ class TestScenarioKwargs:
             table.expand()
         assert repr(value) in str(info.value)
 
+    @pytest.mark.parametrize(
+        "value", ["no", "false", 0, 1, None],
+        ids=["no", "false-string", "zero", "one", "none"],
+    )
+    def test_bad_bool_value_fails_at_expand(self, value):
+        """A keyword annotated ``bool`` is a switch: any value but a
+        ``bool`` is refused, since ``"no"`` would switch it on."""
+        table = _kwargs_table(
+            "byzantine", "bv-indirect", {"locality_filter": value}
+        )
+        with pytest.raises(
+            ConfigurationError, match="'locality_filter' must be a bool"
+        ) as info:
+            table.expand()
+        assert repr(value) in str(info.value)
+
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_bool_keyword_expands(self, flag):
+        table = _kwargs_table(
+            "byzantine", "bv-indirect", {"locality_filter": flag}
+        )
+        assert len(table.expand()) == 2
+
+    @pytest.mark.parametrize("relays", [0, 4])
+    def test_protocol_range_fails_at_expand(self, relays):
+        """The protocol constructor's own range check runs at
+        expansion, so an out-of-range ``max_relays`` is refused before
+        any cell runs."""
+        table = _kwargs_table(
+            "byzantine", "bv-indirect", {"max_relays": relays}
+        )
+        with pytest.raises(
+            ConfigurationError,
+            match=f"'max_relays': {relays}.*must be in 1..3, got {relays}",
+        ):
+            table.expand()
+
+    @pytest.mark.parametrize("relays", [1, 2, 3])
+    def test_protocol_range_expands(self, relays):
+        table = _kwargs_table(
+            "byzantine", "bv-indirect", {"max_relays": relays}
+        )
+        assert len(table.expand()) == 2
+
+    def test_protocol_built_once_per_distinct_keywords(self, monkeypatch):
+        """Four cells, two distinct budgets: the protocol is built
+        twice, once per set of the cell fields the check reads."""
+        from repro.protocols import registry
+
+        built = []
+        make = registry.make_protocol
+
+        def counting(name, t, *args, **kwargs):
+            built.append((name, t, kwargs.get("max_relays")))
+            return make(name, t, *args, **kwargs)
+
+        monkeypatch.setattr(registry, "make_protocol", counting)
+        table = RunTable.from_dict({
+            "base": {
+                "kind": "byzantine", "r": 1, "protocol": "bv-indirect",
+                "placement": "random", "scenario_kwargs": {"max_relays": 2},
+            },
+            "factors": {"t": [0, 1], "strategy": ["liar", "silent"]},
+        })
+        assert len(table.expand()) == 4
+        assert built == [("bv-indirect", 0, 2), ("bv-indirect", 1, 2)]
+
     def test_none_passes_an_optional_int(self):
         table = _kwargs_table(
             "crash", "crash-flood", {"staggered_max_round": None}
