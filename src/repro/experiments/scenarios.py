@@ -22,7 +22,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, Optional, Set
+from types import MappingProxyType
+from typing import AbstractSet, Any, Dict, Iterable, Mapping, Optional, Set
 
 from repro.errors import ConfigurationError
 from repro.faults.byzantine import make_byzantine
@@ -38,7 +39,8 @@ from repro.geometry.metrics import get_metric
 from repro.grid.factory import TOPOLOGY_KINDS, make_topology
 from repro.grid.topology import Topology
 from repro.grid.torus import Torus
-from repro.protocols.registry import correct_process_map
+from repro.protocols.registry import _process_map, correct_process_map
+from repro.radio.engine import shared_node_order
 from repro.radio.engines import validate_engine
 from repro.radio.node import NodeProcess
 from repro.radio.run import BroadcastOutcome, _run_graded
@@ -69,7 +71,8 @@ class BroadcastScenario:
 
     ``byzantine_processes`` maps faulty nodes to adversarial processes;
     ``crash_round`` maps crashing nodes to their crash rounds.  A node must
-    not appear in both.
+    not appear in both.  A built scenario holds both canonicalized and
+    read-only.
     """
 
     topology: Topology
@@ -77,8 +80,10 @@ class BroadcastScenario:
     t: int
     value: Any = 1
     source: Coord = (0, 0)
-    byzantine_processes: Dict[Coord, NodeProcess] = field(default_factory=dict)
-    crash_round: Dict[Coord, int] = field(default_factory=dict)
+    byzantine_processes: Mapping[Coord, NodeProcess] = field(
+        default_factory=dict
+    )
+    crash_round: Mapping[Coord, int] = field(default_factory=dict)
     max_rounds: int = 200
     max_messages: Optional[int] = None
     protocol_kwargs: Dict[str, Any] = field(default_factory=dict)
@@ -94,22 +99,27 @@ class BroadcastScenario:
         validate_engine(self.engine)
         canon = self.topology.canonical
         self.source = canon(self.source)
-        self.byzantine_processes = {
-            canon(n): p for n, p in self.byzantine_processes.items()
-        }
-        self.crash_round = {canon(n): r for n, r in self.crash_round.items()}
-        overlap = set(self.byzantine_processes) & set(self.crash_round)
+        byzantine = {canon(n): p for n, p in self.byzantine_processes.items()}
+        crash_round = {canon(n): r for n, r in self.crash_round.items()}
+        overlap = set(byzantine) & set(crash_round)
         if overlap:
             raise ConfigurationError(
                 f"nodes {sorted(overlap)} are both Byzantine and crashing"
             )
-        if self.source in self.faulty_nodes:
+        # taken from the dicts, whose stored hashes a set reuses; a set
+        # built from a read-only view hashes every coordinate again
+        self._faulty = frozenset(byzantine).union(crash_round)
+        if self.source in self._faulty:
             raise ConfigurationError("the designated source must be correct")
+        # read-only, so what run() trusts of them holds for the life of
+        # the scenario; dataclasses.replace builds a changed one
+        self.byzantine_processes = MappingProxyType(byzantine)
+        self.crash_round = MappingProxyType(crash_round)
 
     @property
     def faulty_nodes(self) -> Set[Coord]:
         """All faulty (Byzantine or crashing) nodes."""
-        return set(self.byzantine_processes) | set(self.crash_round)
+        return set(self._faulty)
 
     @property
     def correct_nodes(self) -> Set[Coord]:
@@ -145,19 +155,39 @@ class BroadcastScenario:
             return run_fastpath_broadcast(
                 self, observers=observers, profiler=profiler
             )
-        correct = self.correct_nodes
-        processes: Dict[Coord, NodeProcess] = dict(self.byzantine_processes)
-        processes.update(
-            correct_process_map(
-                self.topology,
+        order = shared_node_order(self.topology)
+        correct: AbstractSet[Coord]
+        if order is None:
+            correct = self.correct_nodes
+            processes: Dict[Coord, NodeProcess] = (
+                self.byzantine_processes.copy()
+            )
+            processes.update(
+                correct_process_map(
+                    self.topology,
+                    self.protocol,
+                    self.t,
+                    self.source,
+                    self.value,
+                    correct,
+                    **self.protocol_kwargs,
+                )
+            )
+        else:
+            # one pass in the engine's node order, which the engine takes
+            # whole; the read-only maps of __post_init__ are canonical, so
+            # each node is looked up as it stands
+            processes, correct = _process_map(
                 self.protocol,
                 self.t,
                 self.source,
                 self.value,
-                correct,
+                self.topology.metric,
+                order,
+                self.byzantine_processes,
+                self.crash_round,
                 **self.protocol_kwargs,
             )
-        )
         # __post_init__ canonicalized the fault maps, so ``correct`` is
         # canonical and disjoint from the crash map: run_broadcast's
         # checks hold by construction

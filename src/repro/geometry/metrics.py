@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from functools import lru_cache
-from typing import Dict, Tuple
+from typing import Dict, FrozenSet, Tuple
 
 from repro.geometry.coords import Coord
 
@@ -156,6 +156,7 @@ L2 = L2Metric()
 LINF = LInfMetric()
 
 _METRICS: Dict[str, Metric] = {m.name: m for m in (L1, L2, LINF)}
+_METRIC_TYPES: FrozenSet[type] = frozenset(map(type, _METRICS.values()))
 _ALIASES: Dict[str, str] = {
     "manhattan": "l1",
     "taxicab": "l1",
@@ -177,7 +178,9 @@ def get_metric(name) -> Metric:
     >>> get_metric("euclidean") is L2
     True
     """
-    if isinstance(name, Metric):
+    # exact type first: every protocol object's constructor resolves an
+    # already-resolved metric, where the ABC isinstance costs the most
+    if type(name) in _METRIC_TYPES or isinstance(name, Metric):
         return name
     key = str(name).strip().lower()
     key = _ALIASES.get(key, key)

@@ -143,7 +143,7 @@ class BroadcastProtocolNode(NodeProcess):
 
     def is_source(self, ctx: Context) -> bool:
         """Whether this process runs on the designated source."""
-        return ctx.localize(self.source) == ctx.node
+        return ctx.is_at(self.source)
 
     def evidence_state_size(self) -> int:
         """Units of evidence this node currently stores (protocol-defined:

@@ -210,6 +210,27 @@ def _torus_wiring(width: int, height: int, r: int, metric: str) -> _Wiring:
     )
 
 
+def _shared_wiring(topology: Topology) -> Optional[_Wiring]:
+    """The wiring every engine shares on ``topology`` under the default
+    schedule: one per torus shape; ``None`` for any other topology,
+    whose engines each build their own."""
+    if not isinstance(topology, Torus):
+        return None
+    return _torus_wiring(
+        topology.width, topology.height, topology.r, topology.metric.name
+    )
+
+
+def shared_node_order(topology: Topology) -> Optional[List[Coord]]:
+    """The engine's node order on ``topology`` under the default
+    schedule, when every engine shares it (a torus: flat order, which is
+    sorted order), else ``None``.  An :class:`Engine` takes a process
+    map keyed in exactly this order as its per-node list, without
+    indexing each key.  The list is shared: do not modify it."""
+    wiring = _shared_wiring(topology)
+    return None if wiring is None else wiring.nodes
+
+
 class Engine:
     """Deterministic synchronous-round radio network simulator."""
 
@@ -239,7 +260,9 @@ class Engine:
             run :class:`~repro.radio.node.SilentProcess` (useful for
             analytic setups); keys not on the topology and ``None``
             programs are an error.  Keys may be non-canonical; when two
-            keys name one node, the later one wins.
+            keys name one node, the later one wins.  A mapping keyed in
+            exactly the engine's node order (:func:`shared_node_order`)
+            is taken as the per-node list without indexing each key.
         schedule:
             TDMA schedule; defaults to
             :func:`repro.grid.tdma.make_schedule`.  It must give every
@@ -285,32 +308,37 @@ class Engine:
         if max_rounds < 1:
             raise ConfigurationError(f"max_rounds must be >= 1, got {max_rounds}")
         self.topology = topology
-        if schedule or not isinstance(topology, Torus):
+        wiring = None if schedule else _shared_wiring(topology)
+        if wiring is None:
             wiring = _Wiring.of(topology, schedule or make_schedule(topology))
-        else:
-            wiring = _torus_wiring(
-                topology.width,
-                topology.height,
-                topology.r,
-                topology.metric.name,
-            )
         self._wiring = wiring
         self.schedule = wiring.schedule
         nodes = wiring.nodes
-        # per-trial state lives in lists addressed by node index
-        procs: List[Optional[NodeProcess]] = [None] * len(nodes)
-        for node, proc in processes.items():
-            i = self._index_of(node)
-            if i is None:
-                raise ConfigurationError(f"process given for non-node {node}")
-            # explicit None check: a process whose class defines a falsy
-            # __bool__/__len__ is still a real process, not a silent node
-            if proc is None:
-                raise ConfigurationError(f"process given for {node} is None")
-            procs[i] = proc
-        self._procs: List[NodeProcess] = [
-            SilentProcess() if proc is None else proc for proc in procs
-        ]
+        # per-trial state lives in lists addressed by node index.  A map
+        # keyed in node order, as a scenario builds it, is that list
+        # already.  Any other map is placed key by key, as is one holding
+        # a None process, which the loop refuses by name
+        procs: List[Optional[NodeProcess]] = list(processes.values())
+        if list(processes) != nodes or any(p is None for p in procs):
+            procs = [None] * len(nodes)
+            for node, proc in processes.items():
+                i = self._index_of(node)
+                if i is None:
+                    raise ConfigurationError(
+                        f"process given for non-node {node}"
+                    )
+                # explicit None check: a process whose class defines a
+                # falsy __bool__/__len__ is still a real process, not a
+                # silent node
+                if proc is None:
+                    raise ConfigurationError(
+                        f"process given for {node} is None"
+                    )
+                procs[i] = proc
+            procs = [
+                SilentProcess() if proc is None else proc for proc in procs
+            ]
+        self._procs: List[NodeProcess] = procs
         self.processes: Dict[Coord, NodeProcess] = dict(
             zip(nodes, self._procs)
         )

@@ -157,6 +157,19 @@ class Context:
             dy -= height
         return (x + dx, y + dy)
 
+    def is_at(self, other: Coord) -> bool:
+        """Whether ``other`` names this node in any coordinate form:
+        ``localize(other) == node``, without building the local
+        coordinate (on a torus, congruence across the wrap)."""
+        wrap = self._world.wrap
+        x, y = self.node
+        if wrap is None:
+            return other[0] == x and other[1] == y
+        width, height, _, _ = wrap
+        return (int(other[0]) - x) % width == 0 and (
+            (int(other[1]) - y) % height == 0
+        )
+
     def broadcast(self, payload: Any) -> None:
         """Queue ``payload`` for local broadcast in this node's next slot.
 

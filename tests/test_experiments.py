@@ -1,5 +1,7 @@
 """Tests for repro.experiments: scenarios, registry, report rendering."""
 
+import dataclasses
+
 import pytest
 
 from repro.errors import ConfigurationError
@@ -79,6 +81,28 @@ class TestBroadcastScenario:
             byzantine_processes={(-1, -1): SilentByzantine()},
         )
         assert (6, 6) in sc.faulty_nodes
+
+    def test_built_fault_maps_are_read_only(self):
+        """run() trusts the canonical maps that __post_init__ built, so
+        a built scenario refuses edits to them; dataclasses.replace
+        builds a changed scenario, canonicalized again."""
+        sc = crash_broadcast_scenario(r=1, t=1, placement="random", seed=0)
+        assert (1, 0) not in sc.crash_round
+        with pytest.raises(TypeError):
+            sc.crash_round[(8, 0)] = 0
+        with pytest.raises(TypeError):
+            del sc.crash_round[next(iter(sc.crash_round))]
+        assert sc.run().achieved
+        changed = dataclasses.replace(
+            sc, crash_round={**sc.crash_round, (8, 0): 0}
+        )
+        assert changed.crash_round[(1, 0)] == 0
+        assert (1, 0) not in changed.run().correct_nodes
+        byz = byzantine_broadcast_scenario(r=1, t=1, protocol="cpa")
+        with pytest.raises(TypeError):
+            byz.byzantine_processes[(8, 0)] = SilentByzantine()
+        with pytest.raises(TypeError):
+            del byz.byzantine_processes[next(iter(byz.byzantine_processes))]
 
     def test_run_returns_graded_outcome(self):
         sc = byzantine_broadcast_scenario(r=1, t=1, protocol="cpa")

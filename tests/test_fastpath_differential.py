@@ -35,6 +35,7 @@ flood.
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Any, Dict
 
 import pytest
@@ -562,14 +563,15 @@ def test_cpa_commits_only_on_src_when_t_plus_1_exceeds_the_ball():
 LATE_CRASH = {(0, 1): 0, (0, 2): 1}
 
 
-def _build_late_crash(point: Dict[str, Any], engine: str):
+def _build_late_crash(
+    point: Dict[str, Any], engine: str, crash_round=LATE_CRASH
+):
     sc = crash_broadcast_scenario(
-        r=point["r"], t=2, placement="explicit", faults=sorted(LATE_CRASH),
+        r=point["r"], t=2, placement="explicit", faults=sorted(crash_round),
         torus_side=point["side"], max_rounds=point["max_rounds"],
         engine=engine,
     )
-    sc.crash_round.update(LATE_CRASH)
-    return sc
+    return dataclasses.replace(sc, crash_round=crash_round)
 
 
 @pytest.mark.parametrize("side", BOUNDARY_SIDES)
@@ -584,8 +586,7 @@ def test_late_crash_counts_receptions_before_the_crash(side):
         late = RunMetrics(source=None)
         _build_late_crash(point, engine).run(observers=[late])
         dead = RunMetrics(source=None)
-        sc = _build_late_crash(point, engine)
-        sc.crash_round[node] = 0
+        sc = _build_late_crash(point, engine, {**LATE_CRASH, node: 0})
         sc.run(observers=[dead])
         heard = late.rx_by_node.get(node, 0)
         assert heard >= 2, (engine, heard)  # at least the source's burst

@@ -15,10 +15,12 @@ from repro.experiments.scenarios import (
     recommended_torus,
 )
 from repro.grid.torus import Torus
+from repro.obs.metrics import EngineObserver
 from repro.protocols.base import CommittedMsg, SourceMsg
 from repro.protocols.cpa import CPAProtocol
 from repro.protocols.crash_flood import CrashFloodProtocol
 from repro.protocols.registry import correct_process_map
+from repro.radio.engine import Engine
 from repro.radio.run import run_broadcast
 
 
@@ -242,3 +244,43 @@ class TestCPA:
         ctx = eng.context_of((0, 0))
         proc.on_receive(ctx, Envelope((0, 1), SourceMsg(0), 0, 0, 0))
         assert proc.committed_value() is None
+
+
+class _StartLog(EngineObserver):
+    """Who sent a SourceMsg, and who committed during ``on_start``."""
+
+    def __init__(self):
+        self.source_senders = set()
+        self.start_commits = []
+
+    def on_transmission(self, env, receivers):
+        if isinstance(env.payload, SourceMsg):
+            self.source_senders.add(env.sender)
+
+    def on_commit(self, node, round_, value):
+        if round_ == -1:
+            self.start_commits.append(node)
+
+
+@pytest.mark.parametrize("cls, t", [(CrashFloodProtocol, 0), (CPAProtocol, 1)])
+def test_source_named_across_the_wrap(cls, t):
+    """Processes told the source as (W, 0), which names (0, 0) on a
+    W-torus, find the source at (0, 0) alone: only it queues SourceMsg
+    and commits in ``on_start``, and every node then commits.  Built
+    directly, since correct_process_map canonicalizes the source."""
+    width = 7
+    torus = Torus.square(width, 1)
+    processes = {
+        node: cls(
+            t,
+            (width, 0),
+            source_value=1 if node == (0, 0) else None,
+            metric=torus.metric,
+        )
+        for node in torus.nodes()
+    }
+    log = _StartLog()
+    result = Engine(torus, processes, observers=(log,)).run()
+    assert log.source_senders == {(0, 0)}
+    assert log.start_commits == [(0, 0)]
+    assert result.committed() == dict.fromkeys(torus.nodes(), 1)

@@ -42,22 +42,45 @@ class Broadcaster(NodeProcess):
             ctx.broadcast(p)
 
 
-def recorded_flood(topology=None, rekey=None, **engine_kwargs):
+def recorded_flood(
+    topology=None,
+    rekey=None,
+    silent=(),
+    reverse=False,
+    with_types=False,
+    **engine_kwargs,
+):
     """A crash-flood run recorded with deliveries: ``(sha256 of the
-    JSONL, event count)``.  The topology defaults to a 7x7, r=1 torus;
-    ``rekey`` maps each process key to the key the engine is given.  The
-    fastpath refuses the engine options these pins cover, so no
-    differential test guards them."""
+    JSONL, event count)``, and with ``with_types`` the class names of
+    ``result.processes`` in its order.  The topology defaults to a 7x7,
+    r=1 torus.  The map holds a process per node in sorted order, a
+    SilentProcess at each ``silent`` node; ``rekey`` maps each key to
+    the key the engine is given (``None`` leaves the node out), and
+    ``reverse`` reverses the key order.  The fastpath refuses the engine
+    options these pins cover, so no differential test guards them."""
     topology = topology or Torus.square(7, 1)
     processes = correct_process_map(
         topology, "crash-flood", 0, (0, 0), 1, set(topology.nodes())
     )
+    processes.update((node, SilentProcess()) for node in silent)
     if rekey is not None:
         processes = {rekey(node): proc for node, proc in processes.items()}
+        processes.pop(None, None)
+    if reverse:
+        processes = dict(reversed(processes.items()))
     recorder = JsonlRecorder(record_deliveries=True)
-    Engine(topology, processes, observers=(recorder,), **engine_kwargs).run()
+    result = Engine(
+        topology, processes, observers=(recorder,), **engine_kwargs
+    ).run()
     text = recorder.dumps()
-    return hashlib.sha256(text.encode("utf-8")).hexdigest(), len(recorder.events)
+    recorded = (
+        hashlib.sha256(text.encode("utf-8")).hexdigest(),
+        len(recorder.events),
+    )
+    if with_types:
+        kinds = tuple(type(p).__name__ for p in result.processes.values())
+        return recorded + (kinds,)
+    return recorded
 
 
 def outcome(result):
@@ -276,6 +299,37 @@ class TestDeadAndHaltedReceivers:
         recorder = JsonlRecorder(record_deliveries=True)
         _, observed = self.flood((recorder,), max_messages=max_messages)
         assert outcome(plain) == outcome(observed)
+
+    @pytest.mark.parametrize(
+        "shape", ["node-order", "crashed-absent", "reversed", "non-canonical"]
+    )
+    def test_every_process_map_shape_gives_one_run(self, shape):
+        """The engine takes a complete map keyed in its node order as
+        its per-node list, and places any other map key by key.  With a
+        SilentProcess at each crashing node, or those nodes left out,
+        every shape runs alike."""
+        crashing = sorted(self.CRASHES)
+        shaped = {
+            "node-order": dict(silent=crashing),
+            "crashed-absent": dict(
+                rekey=lambda p: None if p in self.CRASHES else p
+            ),
+            "reversed": dict(silent=crashing, reverse=True),
+            "non-canonical": dict(
+                silent=crashing, rekey=lambda p: (p[0] + 9, p[1] - 18)
+            ),
+        }[shape]
+        digest, events, kinds = recorded_flood(
+            self.TORUS, crash_round=self.CRASHES, with_types=True, **shaped
+        )
+        assert (digest, events) == (
+            "c447fa1092d163ba49dc56a3b8c0265236f3e0fbffdc22da068b7ed73c7ccd2b",
+            751,
+        )
+        assert kinds == tuple(
+            "SilentProcess" if node in self.CRASHES else "CrashFloodProtocol"
+            for node in sorted(self.TORUS.nodes())
+        )
 
     def test_dead_node_reads_halted_only_if_it_halted(self):
         """``Context.halted`` is set by ``halt()`` alone: a crash does
@@ -638,6 +692,15 @@ class TestMalformedInputs:
                 Torus.square(7, 1),
                 {(0, 0): Broadcaster(["m"]), (1, 1): None},
             )
+
+    def test_none_process_rejected_in_a_map_in_node_order(self):
+        """A complete map in node order, which the engine otherwise
+        takes whole, still has its None refused by name."""
+        torus = Torus.square(7, 1)
+        processes = {node: SilentProcess() for node in sorted(torus.nodes())}
+        processes[(1, 1)] = None
+        with pytest.raises(ConfigurationError, match=r"\(1, 1\)"):
+            Engine(torus, processes)
 
     def test_crash_round_for_non_node_rejected(self):
         grid = make_topology("bounded", 9, 1, "linf")

@@ -94,6 +94,20 @@ class TestContextLocalize:
         ctx = Engine(BoundedGrid(6, 5, r), {}).context_of((2, 3))
         assert ctx.localize(other) == other
 
+    @given(st.integers(1, 3), st.integers(0, 5), _coords, _coords)
+    def test_is_at_agrees_with_localize(self, r, extra_w, node, other):
+        """``is_at`` answers ``localize(other) == node`` without the
+        local coordinate, for ``other`` in any form: a wrapped copy of
+        the node itself, and any other point."""
+        torus = Torus(2 * r + 1 + extra_w, 2 * r + 3, r)
+        ctx = Engine(torus, {}).context_of(node)
+        wrapped = (node[0] - 3 * torus.width, node[1] + torus.height)
+        for p in (other, wrapped):
+            assert ctx.is_at(p) == (ctx.localize(p) == ctx.node)
+        assert ctx.is_at(wrapped)
+        grid = Engine(BoundedGrid(6, 5, r), {}).context_of((2, 3))
+        assert grid.is_at(other) == (other == (2, 3))
+
 
 class TestTrace:
     def test_counters(self):
